@@ -10,18 +10,6 @@ from . import analyze, config, graphs
 from .experiment import run_experiment
 
 
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SUBFED_SIM_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"SUBFED_SIM_THREADS={env!r} is not an integer")
-    return 1
-
-
 def cmd_generate(args) -> int:
     out = args.out
     if os.path.isdir(out) and os.listdir(out) and not args.force:
@@ -50,8 +38,7 @@ def cmd_run(args) -> int:
     out = args.out or f"run_seed{cfg.seed}"
     if os.path.isdir(out) and os.listdir(out) and not args.force:
         raise ValueError(f"output directory {out} is not empty (use --force)")
-    threads = _threads_from(args)
-    result = run_experiment(cfg, out_dir=out, threads=threads, config_path=args.config)
+    result = run_experiment(cfg, out_dir=out, config_path=args.config)
     final = result.summary["final"]
     print(f"run complete: {out} "
           f"(test acc mean {final['test_acc_mean']}, std {final['test_acc_std']})")
@@ -100,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set", action="append", default=[],
                      metavar="KEY=VALUE", help="dotted-key config override")
     run.add_argument("--seed", type=int)
-    run.add_argument("--threads", type=int)
     run.add_argument("--out")
     run.add_argument("--force", action="store_true")
     run.set_defaults(func=cmd_run)

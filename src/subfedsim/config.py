@@ -5,8 +5,23 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
-METHODS = ("CUFL", "Local", "FedAvg", "FedProx", "FedAvgCL")
+
+class Method(NamedTuple):
+    mask: bool          # learn a curriculum edge mask
+    prox: bool          # add the proximal term (beta/2)||w - w_round||^2
+    aggregation: str    # similarity | mean | none
+
+
+# The README's methods table lists the same rows.
+METHODS = {
+    "CUFL": Method(mask=True, prox=True, aggregation="similarity"),
+    "FedAvg": Method(mask=False, prox=False, aggregation="mean"),
+    "FedProx": Method(mask=False, prox=True, aggregation="mean"),
+    "FedAvgCL": Method(mask=True, prox=False, aggregation="mean"),
+    "Local": Method(mask=False, prox=False, aggregation="none"),
+}
 
 
 class ConfigError(ValueError):
@@ -91,7 +106,7 @@ class ExperimentConfig:
     rounds: int = 50
     epochs: int = 1
     num_clients: int = 4
-    split_ratios: tuple = (2.0, 4.0, 4.0)
+    split_ratios: tuple[float, ...] = (2.0, 4.0, 4.0)
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     partition: PartitionSpec = field(default_factory=PartitionSpec)
     model: ModelSpec = field(default_factory=ModelSpec)
@@ -99,11 +114,12 @@ class ExperimentConfig:
     fed: FedSpec = field(default_factory=FedSpec)
     reference: ReferenceSpec = field(default_factory=ReferenceSpec)
     warmup: WarmupSpec = field(default_factory=WarmupSpec)
-    dump_rounds: tuple | None = None   # None -> (1, rounds)
+    dump_rounds: tuple[int, ...] | None = None   # None -> (1, rounds)
 
     def validate(self):
+        _check_types(self, "")
         if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ConfigError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
         if self.rounds < 0:
             raise ConfigError("rounds must be >= 0")
         if self.epochs < 1:
@@ -133,6 +149,32 @@ class ExperimentConfig:
         if self.rounds == 0:
             return ()
         return (1, self.rounds)
+
+
+_IS_TYPE = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+}
+
+
+def _is_type(value, annotation: str) -> bool:
+    if annotation.startswith("tuple["):  # tuple[T, ...]: a list or tuple of T
+        item = annotation[len("tuple["):].split(",")[0]
+        return isinstance(value, (list, tuple)) and all(_IS_TYPE[item](x) for x in value)
+    return _IS_TYPE[annotation](value)
+
+
+def _check_types(obj, prefix: str):
+    """Raise ConfigError naming the dotted key of the first value of the wrong type."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            _check_types(value, prefix + f.name + ".")
+        elif not any(_is_type(value, a) for a in f.type.split(" | ")):
+            raise ConfigError(f"config key {prefix + f.name!r} must be {f.type}, "
+                              f"got {value!r}")
 
 
 def _sub_dataclass(name):
@@ -176,13 +218,12 @@ def from_dict(data: dict) -> ExperimentConfig:
             section = sub()
             _apply_section(section, value, key + ".")
             setattr(cfg, key, section)
-        elif key == "split_ratios":
-            cfg.split_ratios = tuple(float(x) for x in value)
-        elif key == "dump_rounds":
-            cfg.dump_rounds = None if value is None else tuple(int(x) for x in value)
         else:
             setattr(cfg, key, value)
     cfg.validate()
+    cfg.split_ratios = tuple(float(x) for x in cfg.split_ratios)
+    if cfg.dump_rounds is not None:
+        cfg.dump_rounds = tuple(cfg.dump_rounds)
     return cfg
 
 

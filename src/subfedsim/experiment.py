@@ -5,15 +5,15 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import networkx
 import numpy as np
+import scipy
 
-from . import gcn, graphs, ies, server
-from .config import ExperimentConfig, to_dict
-
-__version__ = "0.1.0"
+from . import __version__, gcn, graphs, ies, server
+from .config import METHODS, ExperimentConfig, to_dict
+from .graphs import _fmt
 
 _MASK64 = (1 << 64) - 1
 
@@ -215,20 +215,17 @@ def local_training_stage(state: ClientState, t: int, cfg: ExperimentConfig,
 
 
 def server_aggregation_stage(states: list, ref: server.ReferenceGraph, t: int,
-                             cfg: ExperimentConfig, threads: int = 1):
+                             cfg: ExperimentConfig):
     """Indicators, similarity, per-client tau and personalized aggregation.
 
     Returns (similarity, alpha, taus). Writes the aggregated parameters into
     each state's `params` for round t+1.
     """
     use_logits = cfg.ies.embeddings == "logits"
-
-    def one(k):
-        return server.build_indicator(ref, states[k].trained, k, t, cfg.ies.gamma,
-                                      cfg.ies.lr_aggr, cfg.ies.steps,
-                                      cfg.fed.prune_frac, use_logits)
-
-    indicators = _parallel_map(one, range(len(states)), threads)
+    indicators = [server.build_indicator(ref, st.trained, k, t, cfg.ies.gamma,
+                                         cfg.ies.lr_aggr, cfg.ies.steps,
+                                         cfg.fed.prune_frac, use_logits)
+                  for k, st in enumerate(states)]
     for k, u in enumerate(indicators):
         if not np.any(u):
             raise ValueError(f"zero indicator for client {k} at round {t}")
@@ -249,26 +246,13 @@ def server_aggregation_stage(states: list, ref: server.ReferenceGraph, t: int,
     return sim, alpha, taus
 
 
-def _parallel_map(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _size_weighted_mean(states: list) -> gcn.GcnParams:
+    """Mean of the clients' trained models, weighted by their node counts."""
     sizes = np.array([st.graph.num_nodes for st in states], dtype=np.float64)
-    w = sizes / sizes.sum()
-    acc = [np.zeros_like(t) for _, t in states[0].trained.tensors()]
-    for wk, st in zip(w, states):
-        for i, (_, t) in enumerate(st.trained.tensors()):
-            acc[i] += wk * t
-    return gcn.GcnParams(*acc)
+    return gcn.weighted_sum(sizes / sizes.sum(), [st.trained for st in states])
 
 
-def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams,
-           threads: int = 1):
+def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams):
     """FedProx pre-training of a shared model, then per-client mask warm-up.
 
     Only the masks keep warm-up state; GNN parameters are reset afterwards.
@@ -276,7 +260,7 @@ def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams,
     if cfg.warmup.rounds > 0:
         global_p = init_params.copy()
         for _ in range(cfg.warmup.rounds):
-            def one(st):
+            for st in states:
                 trained = global_p.copy()
                 adam = gcn.init_adam(trained)
                 g = st.graph
@@ -287,16 +271,8 @@ def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams,
                     _, grads = gcn.loss_and_grads(trained, adj, g.features, g.labels,
                                                   tm, global_p, cfg.fed.beta)
                     trained, adam = gcn.adam_step(trained, grads, adam, cfg.model.lr)
-                return trained
-
-            locals_ = _parallel_map(one, states, threads)
-            sizes = np.array([st.graph.num_nodes for st in states], dtype=np.float64)
-            w = sizes / sizes.sum()
-            acc = [np.zeros_like(t) for _, t in global_p.tensors()]
-            for wk, p in zip(w, locals_):
-                for i, (_, t) in enumerate(p.tensors()):
-                    acc[i] += wk * t
-            global_p = gcn.GcnParams(*acc)
+                st.trained = trained
+            global_p = _size_weighted_mean(states)
         pretrained = global_p
     else:
         pretrained = init_params
@@ -311,16 +287,17 @@ def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams,
         st.adam = gcn.init_adam(st.params)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
-
-
 def _write_matrix(path: str, mat: np.ndarray):
     with open(path, "w", newline="\n") as f:
         for row in mat:
-            f.write(",".join(repr(float(x)) for x in row) + "\n")
+            f.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _write_edge_weights(path: str, edges: np.ndarray, weights: np.ndarray):
+    with open(path, "w", newline="\n") as f:
+        f.write("u,v,weight\n")
+        for (u, v), w in zip(edges, weights):
+            f.write(f"{u},{v},{_fmt(w)}\n")
 
 
 def _dump_reference_recon(out_dir: str, ref: server.ReferenceGraph, states: list,
@@ -333,24 +310,18 @@ def _dump_reference_recon(out_dir: str, ref: server.ReferenceGraph, states: list
         emb = gcn.forward(st.trained, adj, g.features)
         H = emb.H2 if use_logits else emb.H1
         recon = ies.reconstruct(H, g.edges)
-        path = os.path.join(out_dir, f"refrecon_round_{t}_client_{k}.csv")
-        with open(path, "w", newline="\n") as f:
-            f.write("u,v,weight\n")
-            for (u, v), w in zip(g.edges, recon):
-                f.write(f"{u},{v},{float(w)!r}\n")
+        _write_edge_weights(os.path.join(out_dir, f"refrecon_round_{t}_client_{k}.csv"),
+                            g.edges, recon)
 
 
 def _dump_masks(out_dir: str, states: list, t: int):
     for k, st in enumerate(states):
-        path = os.path.join(out_dir, f"mask_round_{t}_client_{k}.csv")
-        with open(path, "w", newline="\n") as f:
-            f.write("u,v,weight\n")
-            for (u, v), w in zip(st.mask.edges, st.mask.weights):
-                f.write(f"{u},{v},{float(w)!r}\n")
+        _write_edge_weights(os.path.join(out_dir, f"mask_round_{t}_client_{k}.csv"),
+                            st.mask.edges, st.mask.weights)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
-                   threads: int = 1, config_path: str | None = None) -> RunResult:
+                   config_path: str | None = None) -> RunResult:
     """Execute a full federated run and optionally write all artifacts."""
     cfg.validate()
     if out_dir is not None:
@@ -379,13 +350,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             adam=gcn.init_adam(init_p), pacing=pacing, tau_state=tau0,
             lam=ies.g_lambda(pacing, 1)))
 
-    method = cfg.method
-    use_mask = method in ("CUFL", "FedAvgCL")
-    use_prox = method in ("CUFL", "FedProx")
-    use_similarity = method == "CUFL"
-
-    if use_mask:
-        warmup(states, cfg, init_p, threads)
+    method = METHODS[cfg.method]
+    use_similarity = method.aggregation == "similarity"
+    if method.mask:
+        warmup(states, cfg, init_p)
 
     ref = None
     if use_similarity:
@@ -396,18 +364,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     dump_rounds = set(cfg.effective_dump_rounds()) if out_dir else set()
     records = []
     for t in range(1, cfg.rounds + 1):
-        losses = _parallel_map(
-            lambda st: local_training_stage(st, t, cfg, use_mask, use_prox),
-            states, threads)
+        losses = [local_training_stage(st, t, cfg, method.mask, method.prox)
+                  for st in states]
         sim = alpha = None
         taus = [None] * len(states)
         if use_similarity:
-            sim, alpha, taus = server_aggregation_stage(states, ref, t, cfg, threads)
-        elif method in ("FedAvg", "FedProx", "FedAvgCL"):
+            sim, alpha, taus = server_aggregation_stage(states, ref, t, cfg)
+        elif method.aggregation == "mean":
             global_p = _size_weighted_mean(states)
             for st in states:
                 st.params = global_p.copy()
-        else:  # Local
+        else:  # "none": each client keeps its own model
             for st in states:
                 st.params = st.trained.copy()
 
@@ -433,7 +400,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                     for k, tau in enumerate(taus):
                         f.write(f"{k},{_fmt(tau)}\n")
             if t in dump_rounds:
-                if use_mask:
+                if method.mask:
                     _dump_masks(out_dir, states, t)
                 if use_similarity:
                     _dump_reference_recon(out_dir, ref, states, t, cfg)
@@ -461,6 +428,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             "out_dir": out_dir,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "tool_version": __version__,
+            "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
+                         "networkx": networkx.__version__},
         },
         "config": to_dict(cfg),
         "seed": cfg.seed,

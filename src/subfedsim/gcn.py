@@ -8,22 +8,53 @@ import numpy as np
 import scipy.sparse as sp
 
 
-@dataclass
 class GcnParams:
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
+    """GCN weights held in one float64 vector `flat`; W1, b1, W2, b2 are views into it."""
+
+    _NAMES = ("W1", "b1", "W2", "b2")
+
+    def __init__(self, W1, b1, W2, b2):
+        tensors = [np.asarray(t, dtype=np.float64) for t in (W1, b1, W2, b2)]
+        offsets = np.cumsum([0] + [t.size for t in tensors]).tolist()
+        layout = tuple(zip(self._NAMES, offsets, offsets[1:], (t.shape for t in tensors)))
+        self._bind(np.concatenate([t.ravel() for t in tensors]), layout)
+
+    def _bind(self, flat: np.ndarray, layout: tuple):
+        self.flat = flat
+        self._layout = layout
+        for name, lo, hi, shape in layout:
+            setattr(self, name, flat[lo:hi].reshape(shape))
+
+    def like(self, flat: np.ndarray) -> "GcnParams":
+        """Parameters with this layout whose tensors are views into `flat`."""
+        out = GcnParams.__new__(GcnParams)
+        out._bind(flat, self._layout)
+        return out
 
     def copy(self) -> "GcnParams":
-        return GcnParams(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
+        return self.like(self.flat.copy())
 
     def tensors(self):
-        return (("W1", self.W1), ("b1", self.b1), ("W2", self.W2), ("b2", self.b2))
+        return tuple((name, getattr(self, name)) for name in self._NAMES)
+
+    def nonfinite_tensor(self) -> str | None:
+        """Name of the first tensor holding a NaN or inf, or None."""
+        if np.all(np.isfinite(self.flat)):
+            return None
+        return next(name for name, t in self.tensors() if not np.all(np.isfinite(t)))
 
     def sq_distance(self, other: "GcnParams") -> float:
+        # per-tensor sums: a single flat sum rounds differently
         return sum(float(np.sum((a - b) ** 2))
                    for (_, a), (_, b) in zip(self.tensors(), other.tensors()))
+
+
+def weighted_sum(weights, params: list) -> GcnParams:
+    """sum_k weights[k] * params[k], accumulated in list order."""
+    acc = np.zeros_like(params[0].flat)
+    for w, p in zip(weights, params):
+        acc += w * p.flat
+    return params[0].like(acc)
 
 
 @dataclass
@@ -56,9 +87,8 @@ def init_params(d_x: int, hidden: int, num_classes: int, seed: int) -> GcnParams
 
 
 def init_adam(params: GcnParams) -> AdamState:
-    zeros = GcnParams(*(np.zeros_like(t) for _, t in params.tensors()))
-    zeros2 = GcnParams(*(np.zeros_like(t) for _, t in params.tensors()))
-    return AdamState(m=zeros, v=zeros2)
+    return AdamState(m=params.like(np.zeros_like(params.flat)),
+                     v=params.like(np.zeros_like(params.flat)))
 
 
 def normalize_masked_adjacency(edges: np.ndarray, mask_weights: np.ndarray,
@@ -121,33 +151,30 @@ def loss_and_grads(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndar
     dZ2[idx] = P[idx]
     dZ2[idx, labels[idx]] -= 1.0
     dZ2 /= n_train
-    gW2 = AH1.T @ dZ2 + beta * (params.W2 - anchor.W2)
-    gb2 = dZ2.sum(axis=0) + beta * (params.b2 - anchor.b2)
+    grads = params.like(beta * (params.flat - anchor.flat))
+    grads.W2 += AH1.T @ dZ2
+    grads.b2 += dZ2.sum(axis=0)
     dH1 = (norm_adj @ dZ2) @ params.W2.T  # norm_adj is symmetric
     dZ1 = dH1 * (Z1 > 0)
-    gW1 = AX.T @ dZ1 + beta * (params.W1 - anchor.W1)
-    gb1 = dZ1.sum(axis=0) + beta * (params.b1 - anchor.b1)
-    return loss, GcnParams(gW1, gb1, gW2, gb2)
+    grads.W1 += AX.T @ dZ1
+    grads.b1 += dZ1.sum(axis=0)
+    return loss, grads
 
 
 def adam_step(params: GcnParams, grads: GcnParams, state: AdamState, lr: float):
     """Bias-corrected Adam update; returns (new_params, new_state)."""
-    for name, g in grads.tensors():
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient in tensor {name}")
+    name = grads.nonfinite_tensor()
+    if name is not None:
+        raise ValueError(f"non-finite gradient in tensor {name}")
     t = state.step + 1
-    new_p, new_m, new_v = [], [], []
-    for (_, p), (_, g), (_, m), (_, v) in zip(params.tensors(), grads.tensors(),
-                                              state.m.tensors(), state.v.tensors()):
-        m2 = state.beta1 * m + (1 - state.beta1) * g
-        v2 = state.beta2 * v + (1 - state.beta2) * g * g
-        mhat = m2 / (1 - state.beta1 ** t)
-        vhat = v2 / (1 - state.beta2 ** t)
-        new_p.append(p - lr * mhat / (np.sqrt(vhat) + state.eps))
-        new_m.append(m2)
-        new_v.append(v2)
-    return (GcnParams(*new_p),
-            AdamState(m=GcnParams(*new_m), v=GcnParams(*new_v), step=t,
+    g = grads.flat
+    m = state.beta1 * state.m.flat + (1 - state.beta1) * g
+    v = state.beta2 * state.v.flat + (1 - state.beta2) * g * g
+    mhat = m / (1 - state.beta1 ** t)
+    vhat = v / (1 - state.beta2 ** t)
+    new_p = params.flat - lr * mhat / (np.sqrt(vhat) + state.eps)
+    return (params.like(new_p),
+            AdamState(m=params.like(m), v=params.like(v), step=t,
                       beta1=state.beta1, beta2=state.beta2, eps=state.eps))
 
 
@@ -159,13 +186,3 @@ def accuracy(emb: Embeddings, labels: np.ndarray, mask: np.ndarray) -> float:
     pred = np.argmax(emb.H2[mask], axis=1)
     return float(np.mean(pred == labels[mask]))
 
-
-def save_params_csv(params: GcnParams, path: str):
-    """Flat `tensor,row,col,value` checkpoint dump for debugging."""
-    with open(path, "w", newline="\n") as f:
-        f.write("tensor,row,col,value\n")
-        for name, t in params.tensors():
-            mat = np.atleast_2d(t)
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    f.write(f"{name},{i},{j},{mat[i, j]!r}\n")

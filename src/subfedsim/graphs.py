@@ -410,8 +410,9 @@ def make_splits(g: Graph, ratios: tuple, seed: int) -> NodeSplit:
     return NodeSplit(tags=tags)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x) -> str:
+    """Shortest round-trip decimal of a float; None gives an empty field."""
+    return "" if x is None else repr(float(x))
 
 
 def save_graph_dir(g: Graph, path: str):
@@ -510,11 +511,20 @@ def load_partition_csv(path: str, num_nodes: int) -> Partition:
                 raise GraphParseError(f"{path}:{lineno}: {exc}") from exc
             if not 0 <= u < num_nodes:
                 raise GraphParseError(f"{path}:{lineno}: node id out of range")
+            if c < 0:
+                raise GraphParseError(f"{path}:{lineno}: client id must be >= 0")
             assignment[u] = c
-    K = max(c for c in assignment if c is not None) + 1
+    clients = [c for c in assignment if c is not None]
+    if not clients:
+        raise GraphParseError(f"{path}: no node,client rows")
+    K = max(clients) + 1
     lists = [[] for _ in range(K)]
     for u, c in enumerate(assignment):
         if c is not None:
             lists[c].append(u)
+    empty = [c for c in range(K) if not lists[c]]
+    if empty:
+        raise GraphParseError(f"{path}: client ids must run 0..{K - 1} without gaps; "
+                              f"client {empty[0]} has no nodes")
     return Partition(K=K, overlapping=False,
                      client_node_lists=[sorted(p) for p in lists], assignment=assignment)

@@ -96,13 +96,6 @@ def mask_step(mask: EdgeMask, recon: np.ndarray, lam: float, gamma: float,
     return EdgeMask(mask.edges, w)
 
 
-def apply_mask(g: Graph, mask: EdgeMask) -> np.ndarray:
-    """Per-edge weights for normalize_masked_adjacency; structure is unchanged."""
-    if mask.edges.shape != g.edges.shape:
-        raise ValueError("mask does not belong to this graph")
-    return mask.weights
-
-
 def warmup_mask(g: Graph, pretrained: gcn.GcnParams, sched: PacingSchedule,
                 gamma: float, lr_mask: float, warm_steps: int,
                 init_value: float = 0.5, use_logits: bool = False) -> EdgeMask:
@@ -110,7 +103,7 @@ def warmup_mask(g: Graph, pretrained: gcn.GcnParams, sched: PacingSchedule,
     mask = uniform_mask(g, init_value)
     if warm_steps == 0:
         return mask
-    adj = gcn.normalize_masked_adjacency(g.edges, apply_mask(g, mask), g.num_nodes)
+    adj = gcn.normalize_masked_adjacency(g.edges, mask.weights, g.num_nodes)
     emb = gcn.forward(pretrained, adj, g.features)
     H = emb.H2 if use_logits else emb.H1
     recon = reconstruct(H, g.edges)

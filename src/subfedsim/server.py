@@ -103,15 +103,11 @@ def aggregate(sim_row: np.ndarray, tau: float, all_params: list) -> gcn.GcnParam
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
     for cid, p in enumerate(all_params):
-        for name, t in p.tensors():
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"non-finite parameter {name} from client {cid}")
-    alpha = softmax_weights(sim_row, tau)
-    acc = [np.zeros_like(t) for _, t in all_params[0].tensors()]
-    for a, p in zip(alpha, all_params):
-        for i, (_, t) in enumerate(p.tensors()):
-            acc[i] += a * t
-    return gcn.GcnParams(*acc)
+        name = p.nonfinite_tensor()
+        if name is not None:
+            raise ValueError(f"non-finite parameter {name} from client {cid}")
+    # a loop in client order, not alpha @ P: the matmul rounds differently
+    return gcn.weighted_sum(softmax_weights(sim_row, tau), all_params)
 
 
 @dataclass

@@ -1,7 +1,11 @@
 import json
 
+import networkx
+import numpy
 import pytest
+import scipy
 
+import subfedsim
 from subfedsim import cli, graphs
 
 
@@ -111,11 +115,30 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", str(out)) == 1
         assert "use --force" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("override, key", [
+        ("split_ratios=5", "split_ratios"),
+        ("dump_rounds=3", "dump_rounds"),
+        ("epochs=null", "epochs"),
+        ("num_clients=2.5", "num_clients"),
+        ("model.hidden=true", "model.hidden"),
+    ])
+    def test_wrong_typed_override_errors(self, tmp_path, capsys, override, key):
         cfg = write_cfg(tmp_path)
-        monkeypatch.setenv("SUBFED_SIM_THREADS", "not-a-number")
-        assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "x")) == 1
-        assert "SUBFED_SIM_THREADS" in capsys.readouterr().err
+        assert run_cli("run", "--config", cfg, "--set", override,
+                       "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+        assert not (tmp_path / "x").exists()
+
+    def test_manifest_records_versions(self, tmp_path):
+        out = tmp_path / "v"
+        assert run_cli("run", "--config", write_cfg(tmp_path, rounds=0),
+                       "--out", str(out)) == 0
+        manifest = json.loads((out / "summary.json").read_text())["manifest"]
+        assert manifest["tool_version"] == subfedsim.__version__
+        assert manifest["versions"] == {"numpy": numpy.__version__,
+                                        "scipy": scipy.__version__,
+                                        "networkx": networkx.__version__}
 
     def test_invalid_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

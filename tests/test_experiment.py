@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -196,20 +197,6 @@ class TestServerStage:
         for st in states:
             assert st.params.sq_distance(shared) < 1e-24
 
-    def test_thread_count_invariant(self):
-        results = []
-        for threads in (1, 4):
-            cfg = tiny_cfg()
-            states = [make_state(k, cfg) for k in range(3)]
-            ref = self.build_ref(cfg, 3)
-            sim, alpha, _ = experiment.server_aggregation_stage(
-                states, ref, 1, cfg, threads=threads)
-            results.append((sim, alpha, [st.params.W1.copy() for st in states]))
-        assert np.array_equal(results[0][0], results[1][0])
-        assert np.array_equal(results[0][1], results[1][1])
-        for a, b in zip(results[0][2], results[1][2]):
-            assert np.array_equal(a, b)
-
 
 class TestFedAvgReduction:
     def test_equal_sizes_reduce_to_plain_mean(self):
@@ -235,8 +222,7 @@ class TestRunExperiment:
     def run(self, tmp_path, name, **kw):
         cfg = tiny_cfg(**kw)
         out = tmp_path / name
-        res = experiment.run_experiment(cfg, out_dir=str(out),
-                                        threads=kw.pop("threads", 1))
+        res = experiment.run_experiment(cfg, out_dir=str(out))
         return res, out
 
     def test_metrics_csv_byte_identical_across_reruns(self, tmp_path):
@@ -245,14 +231,6 @@ class TestRunExperiment:
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
         assert (a / "similarity_round_3.csv").read_bytes() == \
             (b / "similarity_round_3.csv").read_bytes()
-
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        cfg = tiny_cfg()
-        a = tmp_path / "t1"
-        b = tmp_path / "t8"
-        experiment.run_experiment(cfg, out_dir=str(a), threads=1)
-        experiment.run_experiment(tiny_cfg(), out_dir=str(b), threads=8)
-        assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
     def test_zero_rounds(self, tmp_path):
         res, out = self.run(tmp_path, "r0", rounds=0)
@@ -321,3 +299,17 @@ class TestRunExperiment:
                        rounds=1)
         res = experiment.run_experiment(cfg)
         assert res.clusters == [0, 0, 1, 1]
+
+
+def test_readme_methods_table_matches_config():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    aggregation = {"similarity": "per-client softmax(τ·CKA similarity)",
+                   "mean": "size-weighted global mean", "none": "none"}
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("| `"):
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            rows[cells[0].strip("`")] = tuple(cells[1:])
+    yes_no = {True: "yes", False: "no"}
+    assert rows == {name: (yes_no[m.mask], yes_no[m.prox], aggregation[m.aggregation])
+                    for name, m in config.METHODS.items()}

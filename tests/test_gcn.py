@@ -124,6 +124,56 @@ class TestLossAndGrads:
                 assert abs(g.ravel()[i] - fd) / denom < 1e-4, (name, i)
 
 
+class TestFlatParams:
+    def test_tensors_are_views_of_flat(self):
+        params = gcn.init_params(3, 4, 2, seed=0)
+        assert params.flat.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+        params.W2[1, 0] = 7.0
+        assert params.flat[3 * 4 + 4 + 2] == 7.0
+        assert np.array_equal(np.concatenate([t.ravel() for _, t in params.tensors()]),
+                              params.flat)
+
+    def test_copy_and_like_keep_layout_not_storage(self):
+        params = gcn.init_params(3, 4, 2, seed=0)
+        dup = params.copy()
+        dup.b1[:] = 1.0
+        assert not params.b1.any()
+        zeros = params.like(np.zeros_like(params.flat))
+        assert [(n, t.shape) for n, t in zeros.tensors()] == \
+            [(n, t.shape) for n, t in params.tensors()]
+
+    def test_weighted_sum_equals_per_tensor_loop(self):
+        ps = [gcn.init_params(3, 4, 2, seed=s) for s in range(5)]
+        w = np.random.default_rng(0).random(5)
+        out = gcn.weighted_sum(w, ps)
+        for name, t in out.tensors():
+            acc = np.zeros_like(t)
+            for wk, p in zip(w, ps):
+                acc += wk * dict(p.tensors())[name]
+            assert np.array_equal(t, acc), name
+
+    def test_adam_equals_per_tensor_loop(self):
+        rng = np.random.default_rng(3)
+        params = gcn.init_params(3, 4, 2, seed=0)
+        state = gcn.init_adam(params)
+        ref_p = dict(params.tensors())
+        ref_m = {n: np.zeros_like(t) for n, t in ref_p.items()}
+        ref_v = {n: np.zeros_like(t) for n, t in ref_p.items()}
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
+        for t in (1, 2, 3):
+            grads = params.like(rng.standard_normal(params.flat.shape))
+            params, state = gcn.adam_step(params, grads, state, lr)
+            for name, g in grads.tensors():
+                ref_m[name] = b1 * ref_m[name] + (1 - b1) * g
+                ref_v[name] = b2 * ref_v[name] + (1 - b2) * g * g
+                mhat = ref_m[name] / (1 - b1 ** t)
+                vhat = ref_v[name] / (1 - b2 ** t)
+                ref_p[name] = ref_p[name] - lr * mhat / (np.sqrt(vhat) + eps)
+        for name, t in params.tensors():
+            assert np.array_equal(t, ref_p[name]), name
+            assert np.array_equal(dict(state.m.tensors())[name], ref_m[name]), name
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = gcn.init_params(2, 3, 2, seed=0)
@@ -252,11 +302,3 @@ class TestProperties:
         H2 = H1 @ params.W2 + params.b2
         assert np.array_equal(emb.H2, H2)
 
-
-def test_params_csv_dump(tmp_path):
-    params = gcn.init_params(2, 3, 2, seed=1)
-    path = tmp_path / "params.csv"
-    gcn.save_params_csv(params, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "tensor,row,col,value"
-    assert len(lines) == 1 + 2 * 3 + 3 + 3 * 2 + 2

@@ -287,6 +287,24 @@ class TestGraphDir:
         part = graphs.load_partition_csv(str(path), 3)
         assert part.client_node_lists == [[1], [0, 2]]
 
+    def test_partition_csv_negative_client_rejected(self, tmp_path):
+        path = tmp_path / "partition.csv"
+        path.write_text("node,client\n0,0\n1,1\n2,-1\n")
+        with pytest.raises(graphs.GraphParseError, match=r"partition\.csv:4: client id"):
+            graphs.load_partition_csv(str(path), 3)
+
+    def test_partition_csv_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "partition.csv"
+        path.write_text("node,client\n")
+        with pytest.raises(graphs.GraphParseError, match=r"partition\.csv: no node,client"):
+            graphs.load_partition_csv(str(path), 3)
+
+    def test_partition_csv_client_gap_rejected(self, tmp_path):
+        path = tmp_path / "partition.csv"
+        path.write_text("node,client\n0,0\n1,2\n2,2\n")
+        with pytest.raises(graphs.GraphParseError, match=r"partition\.csv: .*client 1 has no"):
+            graphs.load_partition_csv(str(path), 3)
+
 
 class TestInducedSubgraphs:
     def test_edge_subset_and_relabel(self):
