@@ -50,12 +50,12 @@ def _load_recon(run_dir: str, t: int, client: int) -> np.ndarray:
 
 
 def bin_match_csv(run_dir: str, num_bins: int = 5) -> str:
-    """Bin-match of each client's round-1 vs final-round reference reconstruction."""
+    """Bin-match of each client's earliest vs latest dumped reference reconstruction."""
     summary = _load_summary(run_dir)
     rounds = summary["config"]["rounds"]
     K = summary["config"]["num_clients"]
     dump_rounds = summary["config"].get("dump_rounds") or [1, rounds]
-    t0, t1 = dump_rounds[0], dump_rounds[-1]
+    t0, t1 = min(dump_rounds), max(dump_rounds)
     lines = ["bin,ratio,client"]
     for k in range(K):
         ref = _load_recon(run_dir, t0, k)

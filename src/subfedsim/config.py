@@ -126,6 +126,11 @@ class ExperimentConfig:
             raise ConfigError("epochs must be >= 1")
         if self.num_clients < 1:
             raise ConfigError("num_clients must be >= 1")
+        if self.dump_rounds is not None:
+            bad = [t for t in self.dump_rounds if not 1 <= t <= self.rounds]
+            if bad:
+                raise ConfigError(f"config key 'dump_rounds' entries must lie in "
+                                  f"1..rounds={self.rounds}, got {bad}")
         for name, v in (("model.lr", self.model.lr), ("ies.lr_train", self.ies.lr_train),
                         ("ies.lr_aggr", self.ies.lr_aggr)):
             if v <= 0:
@@ -177,6 +182,20 @@ def _check_types(obj, prefix: str):
                               f"got {value!r}")
 
 
+def _floats_from_ints(obj, prefix: str):
+    """Store ints given for float fields as floats, so 5 and 5.0 echo alike."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            _floats_from_ints(value, prefix + f.name + ".")
+        elif "float" in f.type.split(" | ") and _IS_TYPE["int"](value):
+            try:
+                setattr(obj, f.name, float(value))
+            except OverflowError:
+                raise ConfigError(f"config key {prefix + f.name!r} is too large "
+                                  "for a float") from None
+
+
 def _sub_dataclass(name):
     f = ExperimentConfig.__dataclass_fields__.get(name)
     if f is None:
@@ -221,6 +240,7 @@ def from_dict(data: dict) -> ExperimentConfig:
         else:
             setattr(cfg, key, value)
     cfg.validate()
+    _floats_from_ints(cfg, "")
     cfg.split_ratios = tuple(float(x) for x in cfg.split_ratios)
     if cfg.dump_rounds is not None:
         cfg.dump_rounds = tuple(cfg.dump_rounds)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import networkx
 import numpy as np
@@ -46,6 +46,10 @@ class ClientState:
     pacing: ies.PacingSchedule
     tau_state: server.TauState
     lam: float = 0.0
+    adjacency: gcn.Adjacency = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.adjacency = gcn.Adjacency(self.graph.edges, self.graph.num_nodes)
 
 
 @dataclass
@@ -174,8 +178,7 @@ def infer_clusters(cfg: ExperimentConfig, part: graphs.Partition,
 def _evaluate(state: ClientState, params: gcn.GcnParams) -> dict:
     """Accuracy on the full (unmasked) local subgraph for all three splits."""
     g = state.graph
-    adj = gcn.normalize_masked_adjacency(g.edges, np.ones(g.num_edges), g.num_nodes)
-    emb = gcn.forward(params, adj, g.features)
+    emb = gcn.forward(params, state.adjacency.unmasked, g.features)
     out = {}
     for which in (graphs.TRAIN, graphs.VAL, graphs.TEST):
         m = state.split.mask(which)
@@ -196,8 +199,8 @@ def local_training_stage(state: ClientState, t: int, cfg: ExperimentConfig,
     train_mask = state.split.mask(graphs.TRAIN)
     loss = float("nan")
     for _ in range(cfg.epochs):
-        weights = mask.weights if use_mask else np.ones(g.num_edges)
-        adj = gcn.normalize_masked_adjacency(g.edges, weights, g.num_nodes)
+        adj = (state.adjacency.normalized(mask.weights) if use_mask
+               else state.adjacency.unmasked)
         loss, grads = gcn.loss_and_grads(trained, adj, g.features, g.labels,
                                          train_mask, anchor, beta)
         trained, adam = gcn.adam_step(trained, grads, adam, cfg.model.lr)
@@ -264,11 +267,10 @@ def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams):
                 trained = global_p.copy()
                 adam = gcn.init_adam(trained)
                 g = st.graph
-                adj = gcn.normalize_masked_adjacency(g.edges, np.ones(g.num_edges),
-                                                     g.num_nodes)
                 tm = st.split.mask(graphs.TRAIN)
                 for _ in range(cfg.epochs):
-                    _, grads = gcn.loss_and_grads(trained, adj, g.features, g.labels,
+                    _, grads = gcn.loss_and_grads(trained, st.adjacency.unmasked,
+                                                  g.features, g.labels,
                                                   tm, global_p, cfg.fed.beta)
                     trained, adam = gcn.adam_step(trained, grads, adam, cfg.model.lr)
                 st.trained = trained
@@ -305,8 +307,7 @@ def _dump_reference_recon(out_dir: str, ref: server.ReferenceGraph, states: list
     use_logits = cfg.ies.embeddings == "logits"
     g = ref.graph
     for k, st in enumerate(states):
-        adj = gcn.normalize_masked_adjacency(g.edges, ref.per_client_masks[k].weights,
-                                             g.num_nodes)
+        adj = ref.adjacency.normalized(ref.per_client_masks[k].weights)
         emb = gcn.forward(st.trained, adj, g.features)
         H = emb.H2 if use_logits else emb.H1
         recon = ies.reconstruct(H, g.edges)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,23 +92,69 @@ def init_adam(params: GcnParams) -> AdamState:
                      v=params.like(np.zeros_like(params.flat)))
 
 
+class Adjacency:
+    """Normalized adjacencies D^{-1/2} (S*A + I) D^{-1/2} of one fixed edge list.
+
+    The sorted CSR pattern of A + I and the slots each edge weight fills are
+    built once; `normalized` only refills values. The arithmetic is that of
+    the sparse product D @ A @ D, so results are bit-identical to it.
+    """
+
+    def __init__(self, edges: np.ndarray, num_nodes: int):
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        E, n = edges.shape[0], int(num_nodes)
+        if E and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError("adjacency edge endpoint out of range")
+        if np.any(edges[:, 0] == edges[:, 1]):
+            raise ValueError("adjacency edges must not contain self-loops")
+        diag = np.arange(n)
+        rows = np.concatenate([edges[:, 0], edges[:, 1], diag])
+        cols = np.concatenate([edges[:, 1], edges[:, 0], diag])
+        # slot[i] is where entry i of (rows, cols) lands in the row-major order
+        order = np.lexsort((cols, rows))
+        if np.any((np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)):
+            raise ValueError("adjacency edges must not contain duplicates")
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
+        self.num_edges = E
+        self.shape = (n, n)
+        self.indptr = np.searchsorted(rows[order], np.arange(n + 1)).astype(np.int32)
+        self.indices = cols[order].astype(np.int32)
+        self._row = rows[order]
+        self._fwd, self._bwd, self._diag = slot[:E], slot[E:2 * E], slot[2 * E:]
+
+    def normalized(self, mask_weights: np.ndarray) -> sp.csr_matrix:
+        """The normalized adjacency with edge weights `mask_weights`."""
+        w = np.asarray(mask_weights, dtype=np.float64)
+        if w.shape[0] != self.num_edges:
+            raise ValueError("mask_weights must align with the edge list")
+        if w.size and w.min() < 0:
+            raise ValueError("mask weights must be nonnegative")
+        vals = np.empty(self.indices.size)
+        vals[self._fwd] = w
+        vals[self._bwd] = w
+        vals[self._diag] = 1.0
+        deg = np.add.reduceat(vals, self.indptr[:-1])  # A.sum(axis=1); no row is empty
+        dinv = 1.0 / np.sqrt(deg)
+        data = (dinv[self._row] * vals) * dinv[self.indices]
+        out = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                            shape=self.shape)
+        out.eliminate_zeros()  # the sparse product drops zero products
+        return out
+
+    @cached_property
+    def unmasked(self) -> sp.csr_matrix:
+        """The all-ones normalized adjacency, computed once; its arrays are read-only."""
+        adj = self.normalized(np.ones(self.num_edges))
+        for a in (adj.data, adj.indices, adj.indptr):
+            a.flags.writeable = False
+        return adj
+
+
 def normalize_masked_adjacency(edges: np.ndarray, mask_weights: np.ndarray,
                                num_nodes: int) -> sp.csr_matrix:
     """Symmetric normalization D^{-1/2} (S*A + I) D^{-1/2} over mask-weighted edges."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    w = np.asarray(mask_weights, dtype=np.float64)
-    if w.shape[0] != edges.shape[0]:
-        raise ValueError("mask_weights must align with the edge list")
-    if w.size and w.min() < 0:
-        raise ValueError("mask weights must be nonnegative")
-    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(num_nodes)])
-    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(num_nodes)])
-    vals = np.concatenate([w, w, np.ones(num_nodes)])
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(num_nodes, num_nodes))
-    deg = np.asarray(A.sum(axis=1)).ravel()
-    dinv = 1.0 / np.sqrt(deg)
-    D = sp.diags(dinv)
-    return (D @ A @ D).tocsr()
+    return Adjacency(edges, num_nodes).normalized(mask_weights)
 
 
 def forward(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndarray) -> Embeddings:

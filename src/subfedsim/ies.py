@@ -49,17 +49,20 @@ def g_lambda(sched: PacingSchedule, t: int) -> float:
     return min(sched.zeta * t / sched.rounds, 1.0)
 
 
+_RECON_BLOCK = 256  # edges per gather; two (256, hidden) blocks stay in cache
+
+
 def reconstruct(embeddings: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Per-edge cosine similarity of endpoint embeddings; zero vectors give 0."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size == 0:
         return np.zeros(0)
-    hu = embeddings[edges[:, 0]]
-    hv = embeddings[edges[:, 1]]
-    nu = np.linalg.norm(hu, axis=1)
-    nv = np.linalg.norm(hv, axis=1)
-    denom = nu * nv
-    dots = np.einsum("ij,ij->i", hu, hv)
+    H = np.ascontiguousarray(embeddings)
+    norms = np.linalg.norm(H, axis=1)
+    denom = norms[edges[:, 0]] * norms[edges[:, 1]]
+    B = _RECON_BLOCK
+    dots = np.concatenate([np.einsum("ij,ij->i", H[edges[lo:lo + B, 0]], H[edges[lo:lo + B, 1]])
+                           for lo in range(0, edges.shape[0], B)])
     out = np.zeros(edges.shape[0])
     ok = denom > 0
     out[ok] = dots[ok] / denom[ok]

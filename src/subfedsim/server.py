@@ -18,6 +18,10 @@ class ReferenceGraph:
     graph: Graph
     pacing: ies.PacingSchedule
     per_client_masks: list = field(default_factory=list)  # K EdgeMasks
+    adjacency: gcn.Adjacency = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.adjacency = gcn.Adjacency(self.graph.edges, self.graph.num_nodes)
 
     @classmethod
     def create(cls, graph: Graph, pacing: ies.PacingSchedule, num_clients: int,
@@ -53,8 +57,7 @@ def build_indicator(ref: ReferenceGraph, client_params: gcn.GcnParams, client_id
         raise ValueError("client parameters do not match the reference graph features")
     mask = ref.per_client_masks[client_id]
     if n_steps > 0:
-        adj = gcn.normalize_masked_adjacency(g.edges, mask.weights, g.num_nodes)
-        emb = gcn.forward(client_params, adj, g.features)
+        emb = gcn.forward(client_params, ref.adjacency.normalized(mask.weights), g.features)
         H = emb.H2 if use_logits else emb.H1
         recon = ies.reconstruct(H, g.edges)
         lam = ies.g_lambda(ref.pacing, round_t)

@@ -121,6 +121,9 @@ class TestRun:
         ("epochs=null", "epochs"),
         ("num_clients=2.5", "num_clients"),
         ("model.hidden=true", "model.hidden"),
+        ("fed.tau=true", "fed.tau"),
+        ("dump_rounds=[0]", "dump_rounds"),
+        ("dump_rounds=[999]", "dump_rounds"),
     ])
     def test_wrong_typed_override_errors(self, tmp_path, capsys, override, key):
         cfg = write_cfg(tmp_path)
@@ -129,6 +132,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
         assert not (tmp_path / "x").exists()
+
+    def test_int_and_float_spellings_echo_alike(self):
+        from subfedsim import config
+        base = config.ExperimentConfig()
+        as_int = config.apply_overrides(base, ["fed.tau=5", "model.lr=1", "ies.gamma=0"])
+        as_float = config.apply_overrides(base, ["fed.tau=5.0", "model.lr=1.0",
+                                                 "ies.gamma=0.0"])
+        assert config.to_dict(as_int) == config.to_dict(as_float)
+        assert json.dumps(config.to_dict(as_int)) == json.dumps(config.to_dict(as_float))
+        assert isinstance(as_int.fed.tau, float) and isinstance(as_int.model.hidden, int)
 
     def test_manifest_records_versions(self, tmp_path):
         out = tmp_path / "v"
@@ -179,6 +192,22 @@ class TestAnalyze:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "bin,ratio,client"
         assert len(lines) == 1 + 5 * 2  # bins * clients
+
+    def test_bin_match_uses_earliest_and_latest_dump_rounds(self, tmp_path, capsys):
+        recon = {1: [-0.9, -0.9, 0.9], 2: [-0.9, 0.9, 0.9]}
+        outputs = []
+        for name, dump_rounds in (("sorted", [1, 2]), ("reversed", [2, 1])):
+            run = tmp_path / name
+            run.mkdir()
+            (run / "summary.json").write_text(json.dumps(
+                {"config": {"rounds": 2, "num_clients": 1, "dump_rounds": dump_rounds}}))
+            for t, values in recon.items():
+                rows = "".join(f"{i},{i + 1},{v!r}\n" for i, v in enumerate(values))
+                (run / f"refrecon_round_{t}_client_0.csv").write_text("u,v,weight\n" + rows)
+            assert run_cli("analyze", "bin-match", str(run)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1:] == ["0,0.5,0", "1,,0", "2,,0", "3,,0", "4,1.0,0"]
 
     def test_missing_artifact_errors(self, tmp_path, capsys):
         empty = tmp_path / "not-a-run"

@@ -47,6 +47,80 @@ class TestNormalizeAdjacency:
             gcn.normalize_masked_adjacency(np.array([(0, 1)]), np.array([-0.1]), 2)
 
 
+def reference_normalize(edges, mask_weights, num_nodes):
+    """The COO build and sparse product D @ A @ D that `Adjacency` must reproduce."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    w = np.asarray(mask_weights, dtype=np.float64)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(num_nodes)])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(num_nodes)])
+    vals = np.concatenate([w, w, np.ones(num_nodes)])
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(num_nodes, num_nodes))
+    D = sp.diags(1.0 / np.sqrt(np.asarray(A.sum(axis=1)).ravel()))
+    return (D @ A @ D).tocsr()
+
+
+def assert_same_csr(a, b):
+    assert type(a) is type(b) and a.shape == b.shape
+    for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestAdjacency:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        rng = np.random.default_rng(4)
+        n = 60
+        pairs = [(u, v) for u in range(n - 3) for v in range(u + 1, n - 3)]
+        # the last three nodes stay isolated
+        edges = np.array([e for e in pairs if rng.random() < 0.15])
+        return edges, n
+
+    @pytest.mark.parametrize("with_zeros", [False, True])
+    def test_matches_reference_bytes(self, graph, with_zeros):
+        edges, n = graph
+        adj = gcn.Adjacency(edges, n)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            w = rng.random(len(edges))
+            if with_zeros:
+                w[rng.random(len(edges)) < 0.3] = 0.0
+            assert_same_csr(adj.normalized(w), reference_normalize(edges, w, n))
+
+    def test_unmasked_matches_reference_bytes(self, graph):
+        """The all-ones case."""
+        edges, n = graph
+        assert_same_csr(gcn.Adjacency(edges, n).unmasked,
+                        reference_normalize(edges, np.ones(len(edges)), n))
+
+    def test_empty_edge_list(self):
+        adj = gcn.Adjacency(np.zeros((0, 2)), 4)
+        assert_same_csr(adj.normalized(np.zeros(0)),
+                        reference_normalize(np.zeros((0, 2)), np.zeros(0), 4))
+
+    def test_wrapper_matches_reference_bytes(self, graph):
+        edges, n = graph
+        w = np.random.default_rng(2).random(len(edges))
+        assert_same_csr(gcn.normalize_masked_adjacency(edges, w, n),
+                        reference_normalize(edges, w, n))
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (0, 1)], [(0, 1), (1, 0)], [(1, 1)]])
+    def test_duplicate_or_self_loop_rejected(self, edges):
+        with pytest.raises(ValueError):
+            gcn.Adjacency(np.array(edges), 3)
+
+    def test_out_of_range_endpoint_rejected(self):
+        with pytest.raises(ValueError):
+            gcn.Adjacency(np.array([(0, 3)]), 3)
+
+    def test_unmasked_is_one_read_only_matrix(self, graph):
+        adj = gcn.Adjacency(*graph)
+        first = adj.unmasked
+        assert adj.unmasked is first
+        for a in (first.data, first.indices, first.indptr):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
 class TestForward:
     def test_zero_features_zero_logits(self):
         params = gcn.init_params(3, 4, 2, seed=0)

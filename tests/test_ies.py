@@ -57,6 +57,36 @@ class TestReconstruct:
         assert ies.reconstruct(H, np.array([(0, 1)]))[0] == 0.0
 
 
+def reference_reconstruct(embeddings, edges):
+    """Full endpoint gathers and per-edge norms, which `reconstruct` must reproduce."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size == 0:
+        return np.zeros(0)
+    hu = embeddings[edges[:, 0]]
+    hv = embeddings[edges[:, 1]]
+    denom = np.linalg.norm(hu, axis=1) * np.linalg.norm(hv, axis=1)
+    dots = np.einsum("ij,ij->i", hu, hv)
+    out = np.zeros(edges.shape[0])
+    ok = denom > 0
+    out[ok] = dots[ok] / denom[ok]
+    return np.clip(out, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("num_edges", [0, 1, 255, 256, 257, 20000])
+@pytest.mark.parametrize("hidden", [2, 128])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_reconstruct_matches_reference_bytes(num_edges, hidden, order):
+    rng = np.random.default_rng(num_edges + hidden)
+    n = 500
+    H = np.maximum(rng.standard_normal((n, hidden)), 0.0)
+    H[rng.random(n) < 0.1] = 0.0  # zero rows
+    H = np.asarray(H, order=order)
+    edges = rng.integers(0, n, size=(num_edges, 2))
+    got = ies.reconstruct(H, edges)
+    want = reference_reconstruct(H, edges)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestObjective:
     def edges(self, k):
         return np.array([(i, i + 1) for i in range(k)])
