@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -172,7 +173,8 @@ def _is_type(value, annotation: str) -> bool:
 
 
 def _check_types(obj, prefix: str):
-    """Raise ConfigError naming the dotted key of the first value of the wrong type."""
+    """Raise ConfigError naming the dotted key of the first value of the wrong
+    type, or of the first NaN or infinite float."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if dataclasses.is_dataclass(value):
@@ -180,6 +182,9 @@ def _check_types(obj, prefix: str):
         elif not any(_is_type(value, a) for a in f.type.split(" | ")):
             raise ConfigError(f"config key {prefix + f.name!r} must be {f.type}, "
                               f"got {value!r}")
+        elif any(isinstance(x, float) and not math.isfinite(x)
+                 for x in (value if isinstance(value, (list, tuple)) else (value,))):
+            raise ConfigError(f"config key {prefix + f.name!r} must be finite, got {value!r}")
 
 
 def _floats_from_ints(obj, prefix: str):

@@ -298,8 +298,8 @@ def _write_matrix(path: str, mat: np.ndarray):
 def _write_edge_weights(path: str, edges: np.ndarray, weights: np.ndarray):
     with open(path, "w", newline="\n") as f:
         f.write("u,v,weight\n")
-        for (u, v), w in zip(edges, weights):
-            f.write(f"{u},{v},{_fmt(w)}\n")
+        # repr of a Python float is `_fmt`'s shortest round-trip decimal
+        f.writelines(f"{u},{v},{w!r}\n" for (u, v), w in zip(edges.tolist(), weights.tolist()))
 
 
 def _dump_reference_recon(out_dir: str, ref: server.ReferenceGraph, states: list,

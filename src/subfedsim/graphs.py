@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import os
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -80,16 +79,10 @@ class NodeSplit:
 
 @dataclass
 class Partition:
-    """Assignment of global nodes to K clients.
-
-    For overlapping partitions `assignment` is None and `client_node_lists`
-    is the source of truth.
-    """
+    """Assignment of global nodes to K clients; a node may appear in several lists."""
 
     K: int
-    overlapping: bool
     client_node_lists: list = field(default_factory=list)  # K lists of global node ids
-    assignment: list | None = None  # per-node client id or None (non-overlapping only)
 
 
 def _normalize_edges(raw: np.ndarray) -> np.ndarray:
@@ -111,6 +104,33 @@ def _pairs_to_edges(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return e[order]
 
 
+# Pairs drawn per `rng.random` call by `_sample_pairs`; bounds its memory.
+_PAIR_BLOCK = 2**20
+
+
+def _sample_pairs(n: int, p_max: float, p_pair, rng: np.random.Generator) -> np.ndarray:
+    """Edges (i, j), i < j, of independent pair draws on n nodes, lexicographically sorted.
+
+    Walks the n(n-1)/2 upper-triangle pairs in row-major order with one uniform
+    draw each, `_PAIR_BLOCK` draws at a time, and keeps a pair when its draw is
+    below `p_pair(i, j)` (arrays of rows and columns in, probabilities at most
+    `p_max` out). PCG64 doubles take one 64-bit output each, so this consumes the
+    random stream exactly as one `rng.random(n * (n - 1) // 2)` call would.
+    """
+    row_start = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1), out=row_start[1:])
+    total = n * (n - 1) // 2
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for b0 in range(0, total, _PAIR_BLOCK):
+        draw = rng.random(min(_PAIR_BLOCK, total - b0))
+        pos = np.flatnonzero(draw < p_max)
+        i = np.searchsorted(row_start, pos + b0, side="right") - 1
+        j = pos + b0 - row_start[i] + i + 1
+        keep = draw[pos] < p_pair(i, j)
+        edges.append(np.stack([i[keep], j[keep]], axis=1))
+    return np.concatenate(edges)
+
+
 def generate_sbm(num_blocks: int, block_size: int, p_in: float, p_cross: float,
                  d_x: int, num_classes: int, seed: int) -> Graph:
     """Stochastic block model with N(0,1) features and labels = block id mod num_classes."""
@@ -120,13 +140,11 @@ def generate_sbm(num_blocks: int, block_size: int, p_in: float, p_cross: float,
         raise ValueError("probabilities must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     n = num_blocks * block_size
-    block = np.arange(n) // block_size
-    iu, iv = np.triu_indices(n, k=1)
-    p = np.where(block[iu] == block[iv], p_in, p_cross)
-    keep = rng.random(iu.shape[0]) < p
-    edges = _pairs_to_edges(iu[keep], iv[keep])
+    edges = _sample_pairs(
+        n, max(p_in, p_cross),
+        lambda i, j: np.where(i // block_size == j // block_size, p_in, p_cross), rng)
     features = rng.standard_normal((n, d_x))
-    labels = block % num_classes
+    labels = np.arange(n) // block_size % num_classes
     g = Graph(n, features, labels, edges, num_classes)
     g.validate()
     return g
@@ -139,9 +157,7 @@ def generate_er(num_nodes: int, p: float, d_x: int, num_classes: int, seed: int)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    iu, iv = np.triu_indices(num_nodes, k=1)
-    keep = rng.random(iu.shape[0]) < p
-    edges = _pairs_to_edges(iu[keep], iv[keep])
+    edges = _sample_pairs(num_nodes, p, lambda i, j: p, rng)
     features = rng.standard_normal((num_nodes, d_x))
     labels = rng.integers(0, num_classes, size=num_nodes)
     g = Graph(num_nodes, features, labels, edges, num_classes)
@@ -198,12 +214,19 @@ def _csr(edges: np.ndarray, n: int) -> tuple:
     return indptr, dst[np.lexsort((dst, src))]
 
 
-def _induced_csr(g: Graph, nodes: np.ndarray) -> tuple:
-    """CSR arrays of the subgraph induced by sorted `nodes`, relabeled 0..len-1."""
+def _relabeled_edges(g: Graph, nodes: np.ndarray) -> np.ndarray:
+    """Edges of `g` with both endpoints in sorted, distinct `nodes`, relabeled to
+    positions in `nodes`. The relabeling is monotone, so the rows keep the
+    lexicographic order of `g.edges`."""
     local = np.full(g.num_nodes, -1, dtype=np.int64)
     local[nodes] = np.arange(nodes.size)
     e = local[g.edges]
-    return _csr(e[(e >= 0).all(axis=1)], nodes.size)
+    return e[(e >= 0).all(axis=1)]
+
+
+def _induced_csr(g: Graph, nodes: np.ndarray) -> tuple:
+    """CSR arrays of the subgraph induced by sorted `nodes`, relabeled 0..len-1."""
+    return _csr(_relabeled_edges(g, nodes), nodes.size)
 
 
 _KL_MAX_SWEEPS = 20
@@ -214,58 +237,81 @@ def _kernighan_lin(indptr: np.ndarray, indices: np.ndarray, first: np.ndarray) -
 
     Each sweep moves single nodes, alternating between the two parts so that
     both keep their sizes, and always takes the move that adds least to the
-    edge cut; two min-heaps keep those costs. The shortest prefix of moves
-    with the lowest total is then applied. Sweeps repeat until none lowers
-    the cut, at most `_KL_MAX_SWEEPS` times. This is the procedure of networkx
-    3.6's `kernighan_lin_bisection` for unit weights, with a fixed order:
-    nodes and neighbours are visited in ascending id, and equal costs pop in
-    the order they were queued. The result depends on the inputs alone.
+    edge cut; bucket queues (Fiduccia & Mattheyses 1982) keep those costs. The
+    shortest prefix of moves with the lowest total is then applied. Sweeps
+    repeat until none lowers the cut, at most `_KL_MAX_SWEEPS` times. This is
+    the procedure of networkx 3.6's `kernighan_lin_bisection` for unit weights,
+    with a fixed order: nodes and neighbours are visited in ascending id, and
+    equal costs leave in the order they were queued. The result depends on the
+    inputs alone.
 
     Returns a boolean array marking the part grown from `first`.
     """
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    rows = np.repeat(np.arange(n), deg)
     ind, ptr = indices.tolist(), indptr.tolist()
-    nbrs = [ind[ptr[u]:ptr[u + 1]] for u in range(len(ptr) - 1)]
-    side = [bool(s) for s in first]
+    nbrs = [ind[ptr[u]:ptr[u + 1]] for u in range(n)]
+    max_deg = int(deg.max(initial=0))
+    side = np.array(first, dtype=bool)
     for _ in range(_KL_MAX_SWEEPS):
-        moves = _kernighan_lin_sweep(nbrs, side)
+        # cost = edges kept inside the node's part - edges cut
+        cut = side[rows] != side[indices]
+        cost = (deg - 2 * np.bincount(rows[cut], minlength=n)).tolist()
+        moves = _kernighan_lin_sweep(nbrs, side.tolist(), cost, max_deg)
         totals = [t for t, _, _ in moves]
         if not totals or min(totals) >= 0:
             break
         for _, u, v in moves[:totals.index(min(totals)) + 1]:
             side[u], side[v] = True, False
-    return np.array(side, dtype=bool)
+    return side
 
 
-def _kernighan_lin_sweep(nbrs: list, side: list) -> list:
-    """One sweep of alternating single-node moves: (running cut change, u, v)
-    per pair, u moving into the `first` part and v out of it."""
-    cost = [sum(1 if side[v] == side[u] else -1 for v in nbrs[u]) for u in range(len(nbrs))]
+def _kernighan_lin_sweep(nbrs: list, side: list, cost: list, max_deg: int) -> list:
+    """One sweep of alternating single-node moves from the starting `cost` of
+    each node: (running cut change, u, v) per pair, u moving into the `first`
+    part and v out of it.
+
+    Each part queues its nodes in FIFO buckets indexed by key = cost + max_deg
+    and scans up from its lowest non-empty bucket, so nodes leave in (cost,
+    queue order). A key update queues the node again; entries made stale by a
+    later update are skipped when they reach the front.
+    """
+    key = [c + max_deg for c in cost]
     queued = [True] * len(nbrs)
-    heaps = ([], [])
-    order = itertools.count()
-    for u, c in enumerate(cost):
-        heaps[side[u]].append((c, next(order), u))
-    for h in heaps:
-        heapq.heapify(h)
+    buckets = tuple([deque() for _ in range(2 * max_deg + 1)] for _ in range(2))
+    for u, k in enumerate(key):
+        buckets[side[u]][k].append(u)
+    lowest = [0, 0]
 
-    def move(heap):
-        """Pop the cheapest queued node and update its queued neighbours."""
-        while True:  # skip entries made stale by a later cost update
-            c, _, u = heapq.heappop(heap)
-            if queued[u] and cost[u] == c:
-                queued[u] = False
+    def move(s):
+        """Dequeue the cheapest queued node of part `s`, update its queued neighbours."""
+        own, other, b = buckets[s], buckets[not s], lowest[s]
+        while True:
+            while not own[b]:
+                b += 1
+            u = own[b].popleft()
+            if queued[u] and key[u] == b:
                 break
-        s = side[u]
+        queued[u] = False
+        c = b - max_deg
         for v in nbrs[u]:
             if queued[v]:
-                cost[v] += -2 if side[v] == s else 2
-                heapq.heappush(heaps[side[v]], (cost[v], next(order), v))
+                if side[v] == s:
+                    k = key[v] = key[v] - 2
+                    own[k].append(v)
+                    if k < b:
+                        b = k
+                else:  # a key that grows leaves the other part's lowest bucket valid
+                    k = key[v] = key[v] + 2
+                    other[k].append(v)
+        lowest[s] = b
         return u, c
 
     moves, total = [], 0
-    for _ in range(min(len(heaps[0]), len(heaps[1]))):
-        u, cu = move(heaps[0])
-        v, cv = move(heaps[1])
+    for _ in range(min(side.count(False), side.count(True))):
+        u, cu = move(False)
+        v, cv = move(True)
         total += cu + cv
         moves.append((total, u, v))
     return moves
@@ -297,12 +343,7 @@ def partition_bisection(g: Graph, K: int, seed: int) -> Partition:
     if K > g.num_nodes:
         raise ValueError("K must not exceed the number of nodes")
     rng = np.random.default_rng(seed)
-    parts = _recursive_bisect(g, np.arange(g.num_nodes), K, rng)
-    assignment = [None] * g.num_nodes
-    for cid, nodes in enumerate(parts):
-        for u in nodes:
-            assignment[u] = cid
-    return Partition(K=K, overlapping=False, client_node_lists=parts, assignment=assignment)
+    return Partition(K=K, client_node_lists=_recursive_bisect(g, np.arange(g.num_nodes), K, rng))
 
 
 def partition_louvain_merge(g: Graph, K: int, seed: int) -> Partition:
@@ -327,12 +368,7 @@ def partition_louvain_merge(g: Graph, K: int, seed: int) -> Partition:
     groups = [[] for _ in range(K)]
     for i, ci in enumerate(order):
         groups[i % K].extend(comms[ci])
-    parts = [sorted(p) for p in groups]
-    assignment = [None] * g.num_nodes
-    for cid, nodes in enumerate(parts):
-        for u in nodes:
-            assignment[u] = cid
-    return Partition(K=K, overlapping=False, client_node_lists=parts, assignment=assignment)
+    return Partition(K=K, client_node_lists=[sorted(p) for p in groups])
 
 
 def sample_overlap_clients(g: Graph, base_parts: int, copies_per_part: int,
@@ -350,23 +386,19 @@ def sample_overlap_clients(g: Graph, base_parts: int, copies_per_part: int,
         for _ in range(copies_per_part):
             sample = rng.choice(len(part), size=size, replace=False)
             lists.append(sorted(part[i] for i in sample))
-    return Partition(K=base_parts * copies_per_part, overlapping=True,
-                     client_node_lists=lists, assignment=None)
+    return Partition(K=base_parts * copies_per_part, client_node_lists=lists)
 
 
 def induced_subgraph(g: Graph, nodes: list) -> Graph:
-    """Client subgraph over `nodes` (global ids), relabeled to 0..len(nodes)-1."""
-    nodes = sorted(nodes)
-    index = {u: i for i, u in enumerate(nodes)}
-    kept = []
-    for u, v in g.edges:
-        if u in index and v in index:
-            kept.append((index[u], index[v]))
-    edges = np.array(kept, dtype=np.int64).reshape(-1, 2)
-    if edges.size:
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-    return Graph(len(nodes), g.features[nodes], g.labels[nodes], edges, g.num_classes)
+    """Client subgraph over distinct `nodes` (global ids), relabeled to 0..len(nodes)-1
+    in ascending global id."""
+    nodes = np.sort(np.asarray(nodes, dtype=np.int64))
+    if nodes.size and (nodes[0] < 0 or nodes[-1] >= g.num_nodes):
+        raise ValueError(f"node ids must lie in 0..{g.num_nodes - 1}")
+    if np.any(nodes[1:] == nodes[:-1]):
+        raise ValueError("node ids must be distinct")
+    return Graph(nodes.size, g.features[nodes], g.labels[nodes],
+                 _relabeled_edges(g, nodes), g.num_classes)
 
 
 def make_splits(g: Graph, ratios: tuple, seed: int) -> NodeSplit:
@@ -526,5 +558,4 @@ def load_partition_csv(path: str, num_nodes: int) -> Partition:
     if empty:
         raise GraphParseError(f"{path}: client ids must run 0..{K - 1} without gaps; "
                               f"client {empty[0]} has no nodes")
-    return Partition(K=K, overlapping=False,
-                     client_node_lists=[sorted(p) for p in lists], assignment=assignment)
+    return Partition(K=K, client_node_lists=lists)

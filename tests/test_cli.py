@@ -124,6 +124,10 @@ class TestRun:
         ("fed.tau=true", "fed.tau"),
         ("dump_rounds=[0]", "dump_rounds"),
         ("dump_rounds=[999]", "dump_rounds"),
+        ("fed.tau=NaN", "fed.tau"),
+        ("fed.tau=-Infinity", "fed.tau"),
+        ("fed.tau=1e400", "fed.tau"),
+        ("split_ratios=[2, NaN, 4]", "split_ratios"),
     ])
     def test_wrong_typed_override_errors(self, tmp_path, capsys, override, key):
         cfg = write_cfg(tmp_path)

@@ -301,6 +301,25 @@ class TestRunExperiment:
         assert res.clusters == [0, 0, 1, 1]
 
 
+def reference_write_edge_weights(path, edges, weights):
+    with open(path, "w", newline="\n") as f:
+        f.write("u,v,weight\n")
+        for (u, v), w in zip(edges, weights):
+            f.write(f"{u},{v},{graphs._fmt(w)}\n")
+
+
+@pytest.mark.parametrize("num_edges", [0, 1, 500])
+def test_edge_weight_writer_matches_fmt_reference(tmp_path, num_edges):
+    rng = np.random.default_rng(num_edges)
+    edges = np.sort(rng.integers(0, 10**6, size=(num_edges, 2)), axis=1)
+    weights = rng.random(num_edges)
+    special = [0.0, 1.0, 1e-300, 5e-324, -0.0, 1 / 3, 1e16]
+    weights[:len(special)] = special[:num_edges]
+    experiment._write_edge_weights(str(tmp_path / "new.csv"), edges, weights)
+    reference_write_edge_weights(str(tmp_path / "ref.csv"), edges, weights)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_readme_methods_table_matches_config():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     aggregation = {"similarity": "per-client softmax(τ·CKA similarity)",

@@ -1,3 +1,6 @@
+import heapq
+import itertools
+
 import numpy as np
 import pytest
 
@@ -174,7 +177,10 @@ class TestPartitioners:
     def test_overlap_counts_and_grouping(self):
         g = two_cliques(size=20, num=2)
         part = graphs.sample_overlap_clients(g, 2, 5, 0.5, seed=4)
-        assert part.K == 10 and part.overlapping
+        assert part.K == 10
+        # overlapping: some node is in two clients' lists
+        seen = [u for p in part.client_node_lists for u in p]
+        assert len(set(seen)) < len(seen)
         # clients 0-4 drawn from one base part, 5-9 from the other
         first = {u // 20 for p in part.client_node_lists[:5] for u in p}
         second = {u // 20 for p in part.client_node_lists[5:] for u in p}
@@ -320,3 +326,176 @@ class TestInducedSubgraphs:
         total = sum(graphs.induced_subgraph(g, p).num_edges
                     for p in part.client_node_lists)
         assert total <= g.num_edges
+
+
+# The code below is the heap / triu_indices / dict-loop implementation that the
+# bucket-queue, streamed and lookup-array versions replaced; the new code must
+# reproduce it byte for byte.
+
+def reference_kernighan_lin(indptr, indices, first):
+    ind, ptr = indices.tolist(), indptr.tolist()
+    nbrs = [ind[ptr[u]:ptr[u + 1]] for u in range(len(ptr) - 1)]
+    side = [bool(s) for s in first]
+    for _ in range(graphs._KL_MAX_SWEEPS):
+        moves = reference_kernighan_lin_sweep(nbrs, side)
+        totals = [t for t, _, _ in moves]
+        if not totals or min(totals) >= 0:
+            break
+        for _, u, v in moves[:totals.index(min(totals)) + 1]:
+            side[u], side[v] = True, False
+    return np.array(side, dtype=bool)
+
+
+def reference_kernighan_lin_sweep(nbrs, side):
+    cost = [sum(1 if side[v] == side[u] else -1 for v in nbrs[u]) for u in range(len(nbrs))]
+    queued = [True] * len(nbrs)
+    heaps = ([], [])
+    order = itertools.count()
+    for u, c in enumerate(cost):
+        heaps[side[u]].append((c, next(order), u))
+    for h in heaps:
+        heapq.heapify(h)
+
+    def move(heap):
+        while True:
+            c, _, u = heapq.heappop(heap)
+            if queued[u] and cost[u] == c:
+                queued[u] = False
+                break
+        s = side[u]
+        for v in nbrs[u]:
+            if queued[v]:
+                cost[v] += -2 if side[v] == s else 2
+                heapq.heappush(heaps[side[v]], (cost[v], next(order), v))
+        return u, c
+
+    moves, total = [], 0
+    for _ in range(min(len(heaps[0]), len(heaps[1]))):
+        u, cu = move(heaps[0])
+        v, cv = move(heaps[1])
+        total += cu + cv
+        moves.append((total, u, v))
+    return moves
+
+
+def reference_pairs_to_edges(u, v):
+    e = np.stack([u, v], axis=1).astype(np.int64)
+    return e[np.lexsort((e[:, 1], e[:, 0]))]
+
+
+def reference_generate_sbm(num_blocks, block_size, p_in, p_cross, d_x, num_classes, seed):
+    rng = np.random.default_rng(seed)
+    n = num_blocks * block_size
+    block = np.arange(n) // block_size
+    iu, iv = np.triu_indices(n, k=1)
+    p = np.where(block[iu] == block[iv], p_in, p_cross)
+    keep = rng.random(iu.shape[0]) < p
+    edges = reference_pairs_to_edges(iu[keep], iv[keep])
+    return graphs.Graph(n, rng.standard_normal((n, d_x)), block % num_classes, edges,
+                        num_classes)
+
+
+def reference_generate_er(num_nodes, p, d_x, num_classes, seed):
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(num_nodes, k=1)
+    keep = rng.random(iu.shape[0]) < p
+    edges = reference_pairs_to_edges(iu[keep], iv[keep])
+    features = rng.standard_normal((num_nodes, d_x))
+    labels = rng.integers(0, num_classes, size=num_nodes)
+    return graphs.Graph(num_nodes, features, labels, edges, num_classes)
+
+
+def reference_induced_subgraph(g, nodes):
+    nodes = sorted(nodes)
+    index = {u: i for i, u in enumerate(nodes)}
+    kept = []
+    for u, v in g.edges:
+        if u in index and v in index:
+            kept.append((index[u], index[v]))
+    edges = np.array(kept, dtype=np.int64).reshape(-1, 2)
+    if edges.size:
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    return graphs.Graph(len(nodes), g.features[nodes], g.labels[nodes], edges, g.num_classes)
+
+
+def assert_same_graph_bytes(a, b):
+    assert a.num_nodes == b.num_nodes and a.num_classes == b.num_classes
+    for x, y in ((a.edges, b.edges), (a.features, b.features), (a.labels, b.labels)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+def with_isolated_nodes():
+    """Two 10-cliques and ten nodes without edges."""
+    g = two_cliques()
+    rng = np.random.default_rng(1)
+    return graphs.Graph(30, rng.standard_normal((30, 3)), np.arange(30) % 2, g.edges, 2)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("make, K, seed", [
+        (lambda: graphs.generate_sbm(2, 20, 0.3, 0.05, 2, 2, seed=0), 2, 0),
+        (with_isolated_nodes, 3, 1),
+        (lambda: graphs.generate_er(50, 0.0, 2, 2, seed=0), 3, 2),
+        (lambda: graphs.generate_er(300, 0.03, 2, 2, seed=1), 5, 0),
+        (lambda: graphs.generate_ba(500, 2, 2, 2, seed=2), 4, 1),
+        (lambda: graphs.generate_sbm(2, 200, 0.08, 0.005, 2, 2, seed=0), 10, 1),
+        (lambda: graphs.generate_sbm(5, 100, 0.1, 0.0, 2, 2, seed=3), 7, 2),
+        (lambda: graphs.generate_sbm(3, 300, 0.05, 0.01, 2, 2, seed=4), 3, 0),
+        (lambda: graphs.generate_sbm(7, 355, 0.01, 0.001, 2, 7, seed=0), 10, 2),
+        (lambda: graphs.generate_sbm(4, 1000, 0.02, 0.0005, 2, 2, seed=0), 16, 0),
+    ])
+    def test_bisection_matches_heap_kernighan_lin(self, monkeypatch, make, K, seed):
+        g = make()
+        got = graphs.partition_bisection(g, K, seed).client_node_lists
+        monkeypatch.setattr(graphs, "_kernighan_lin", reference_kernighan_lin)
+        assert got == graphs.partition_bisection(g, K, seed).client_node_lists
+
+    def test_kernighan_lin_matches_heap_from_random_starts(self):
+        g = graphs.generate_sbm(3, 40, 0.2, 0.02, 2, 2, seed=5)
+        csr = graphs._csr(g.edges, g.num_nodes)
+        rng = np.random.default_rng(0)
+        for n1 in (1, 30, 60, 119):
+            first = np.isin(np.arange(120), rng.permutation(120)[:n1])
+            assert np.array_equal(graphs._kernighan_lin(*csr, first),
+                                  reference_kernighan_lin(*csr, first))
+
+    @pytest.mark.parametrize("args", [
+        (1, 1, 0.5, 0.5), (1, 2, 1.0, 0.0), (2, 3, 0.0, 0.0), (2, 3, 1.0, 1.0),
+        (3, 20, 0.2, 0.05), (5, 100, 0.1, 0.0), (3, 500, 1.0, 0.3),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sbm_matches_triu_reference(self, args, seed):
+        assert_same_graph_bytes(graphs.generate_sbm(*args, 3, 2, seed),
+                                reference_generate_sbm(*args, 3, 2, seed))
+
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (2, 1.0), (10, 0.0), (10, 1.0),
+                                      (100, 0.05), (1500, 1.0), (1500, 0.01)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_er_matches_triu_reference(self, n, p, seed):
+        if n == 1500:  # 1,124,250 pairs: the draws cross a block boundary
+            assert n * (n - 1) // 2 > graphs._PAIR_BLOCK
+        assert_same_graph_bytes(graphs.generate_er(n, p, 3, 3, seed),
+                                reference_generate_er(n, p, 3, 3, seed))
+
+    def test_subgraphs_match_dict_reference(self):
+        g = graphs.generate_sbm(2, 100, 0.1, 0.02, 4, 2, seed=9)
+        cases = [[], [17], list(range(g.num_nodes)), [0, 150]]
+        assert g.edges.tolist().count([0, 150]) == 0  # an edgeless client
+        cases += graphs.partition_bisection(g, 4, seed=0).client_node_lists
+        cases += graphs.sample_overlap_clients(g, 2, 2, 0.5, seed=1).client_node_lists
+        cases.append([199, 3, 150, 42, 7])  # unsorted ids
+        for nodes in cases:
+            assert_same_graph_bytes(graphs.induced_subgraph(g, nodes),
+                                    reference_induced_subgraph(g, nodes))
+
+
+class TestInducedSubgraphChecks:
+    def test_duplicate_node_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            graphs.induced_subgraph(two_cliques(), [1, 2, 2])
+
+    @pytest.mark.parametrize("nodes", [[0, 20], [-1, 3]])
+    def test_out_of_range_node_rejected(self, nodes):
+        with pytest.raises(ValueError, match="0..19"):
+            graphs.induced_subgraph(two_cliques(), nodes)
