@@ -205,9 +205,7 @@ def local_training_stage(state: ClientState, t: int, cfg: ExperimentConfig,
                                          train_mask, anchor, beta)
         trained, adam = gcn.adam_step(trained, grads, adam, cfg.model.lr)
         if use_mask and g.num_edges:
-            emb = gcn.forward(trained, adj, g.features)
-            H = emb.H2 if use_logits else emb.H1
-            recon = ies.reconstruct(H, g.edges)
+            recon = ies.model_reconstruction(trained, adj, g, use_logits)
             mask = ies.mask_step(mask, recon, state.lam, cfg.ies.gamma, mask,
                                  cfg.ies.lr_train, cfg.ies.steps)
     state.trained = trained
@@ -290,9 +288,9 @@ def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams):
 
 
 def _write_matrix(path: str, mat: np.ndarray):
+    # repr of a Python float is `_fmt`'s shortest round-trip decimal
     with open(path, "w", newline="\n") as f:
-        for row in mat:
-            f.write(",".join(map(_fmt, row)) + "\n")
+        f.write("".join(",".join(map(repr, row)) + "\n" for row in mat.tolist()))
 
 
 def _write_edge_weights(path: str, edges: np.ndarray, weights: np.ndarray):
@@ -308,9 +306,7 @@ def _dump_reference_recon(out_dir: str, ref: server.ReferenceGraph, states: list
     g = ref.graph
     for k, st in enumerate(states):
         adj = ref.adjacency.normalized(ref.per_client_masks[k].weights)
-        emb = gcn.forward(st.trained, adj, g.features)
-        H = emb.H2 if use_logits else emb.H1
-        recon = ies.reconstruct(H, g.edges)
+        recon = ies.model_reconstruction(st.trained, adj, g, use_logits)
         _write_edge_weights(os.path.join(out_dir, f"refrecon_round_{t}_client_{k}.csv"),
                             g.edges, recon)
 

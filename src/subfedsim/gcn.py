@@ -158,10 +158,14 @@ def normalize_masked_adjacency(edges: np.ndarray, mask_weights: np.ndarray,
 
 
 def forward(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndarray) -> Embeddings:
-    """H1 = ReLU(A X W1 + b1); logits H2 = A H1 W2 + b2."""
+    """H1 = ReLU((A X) W1 + b1); logits H2 = A (H1 W2) + b2.
+
+    Each sparse product runs on the narrower side (d_x, then num_classes
+    columns). Layer 1 is associated as in `loss_and_grads`, so both see one Z1.
+    """
     if features.shape[1] != params.W1.shape[0]:
         raise ValueError("feature dimension does not match W1")
-    Z1 = norm_adj @ (features @ params.W1) + params.b1
+    Z1 = (norm_adj @ features) @ params.W1 + params.b1
     H1 = np.maximum(Z1, 0.0)
     H2 = norm_adj @ (H1 @ params.W2) + params.b2
     return Embeddings(H1=H1, H2=H2)

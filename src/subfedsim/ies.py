@@ -58,15 +58,16 @@ def reconstruct(embeddings: np.ndarray, edges: np.ndarray) -> np.ndarray:
     if edges.size == 0:
         return np.zeros(0)
     H = np.ascontiguousarray(embeddings)
-    norms = np.linalg.norm(H, axis=1)
+    norms = np.sqrt(np.add.reduce(H * H, axis=1))  # np.linalg.norm(H, axis=1) for real H
     denom = norms[edges[:, 0]] * norms[edges[:, 1]]
     B = _RECON_BLOCK
-    dots = np.concatenate([np.einsum("ij,ij->i", H[edges[lo:lo + B, 0]], H[edges[lo:lo + B, 1]])
-                           for lo in range(0, edges.shape[0], B)])
+    dots = np.empty(edges.shape[0])
+    for lo in range(0, edges.shape[0], B):
+        np.einsum("ij,ij->i", H[edges[lo:lo + B, 0]], H[edges[lo:lo + B, 1]],
+                  out=dots[lo:lo + B])
     out = np.zeros(edges.shape[0])
-    ok = denom > 0
-    out[ok] = dots[ok] / denom[ok]
-    return np.clip(out, -1.0, 1.0)
+    np.divide(dots, denom, out=out, where=denom > 0)
+    return out.clip(-1.0, 1.0, out=out)
 
 
 def residuals(recon: np.ndarray) -> np.ndarray:
@@ -91,12 +92,27 @@ def mask_step(mask: EdgeMask, recon: np.ndarray, lam: float, gamma: float,
         raise ValueError("lr_mask must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    r = residuals(recon)
+    r_lam = residuals(recon)
+    r_lam -= lam
+    a = anchor.weights
     w = mask.weights.copy()
+    step = np.empty_like(w)
     for _ in range(n_steps):
-        grad = (r - lam) + gamma * (w - anchor.weights)
-        w = np.clip(w - lr_mask * grad, 0.0, 1.0)
+        # w <- clip(w - lr * ((r - lam) + gamma * (w - a)), 0, 1), in place
+        np.subtract(w, a, out=step)
+        step *= gamma
+        step += r_lam
+        step *= lr_mask
+        w -= step
+        w.clip(0.0, 1.0, out=w)
     return EdgeMask(mask.edges, w)
+
+
+def model_reconstruction(params: gcn.GcnParams, norm_adj, g: Graph,
+                         use_logits: bool = False) -> np.ndarray:
+    """Reconstruct g's edges from the model's hidden embeddings (or its logits)."""
+    emb = gcn.forward(params, norm_adj, g.features)
+    return reconstruct(emb.H2 if use_logits else emb.H1, g.edges)
 
 
 def warmup_mask(g: Graph, pretrained: gcn.GcnParams, sched: PacingSchedule,
@@ -107,8 +123,6 @@ def warmup_mask(g: Graph, pretrained: gcn.GcnParams, sched: PacingSchedule,
     if warm_steps == 0:
         return mask
     adj = gcn.normalize_masked_adjacency(g.edges, mask.weights, g.num_nodes)
-    emb = gcn.forward(pretrained, adj, g.features)
-    H = emb.H2 if use_logits else emb.H1
-    recon = reconstruct(H, g.edges)
+    recon = model_reconstruction(pretrained, adj, g, use_logits)
     lam = g_lambda(sched, 1)
     return mask_step(mask, recon, lam, gamma, mask, lr_mask, warm_steps)

@@ -33,15 +33,24 @@ class ReferenceGraph:
 def ext_vectorize(mask: ies.EdgeMask, prune_frac: float) -> np.ndarray:
     """Flatten mask weights and zero the lowest prune_frac fraction.
 
-    Ties break toward lower edge index (stable ascending sort).
+    Ties break toward lower edge index, as in a stable ascending sort: the
+    k-th smallest value is selected, every smaller value is zeroed, then the
+    first k - #smaller values equal to it.
     """
     if not 0.0 <= prune_frac < 1.0:
         raise ValueError("prune_frac must lie in [0, 1)")
     u = mask.weights.copy()
-    k = int(math.floor(prune_frac * u.shape[0]))
+    n = u.shape[0]
+    finite = np.isfinite(u)
+    if not finite.all():
+        raise ValueError(f"{n - np.count_nonzero(finite)} of {n} mask weights are non-finite")
+    k = int(math.floor(prune_frac * n))
     if k > 0:
-        order = np.argsort(u, kind="stable")
-        u[order[:k]] = 0.0
+        kth = np.partition(u, k - 1)[k - 1]
+        below = u < kth
+        ties = np.flatnonzero(u == kth)[:k - np.count_nonzero(below)]
+        u[below] = 0.0
+        u[ties] = 0.0
     return u
 
 
@@ -57,9 +66,8 @@ def build_indicator(ref: ReferenceGraph, client_params: gcn.GcnParams, client_id
         raise ValueError("client parameters do not match the reference graph features")
     mask = ref.per_client_masks[client_id]
     if n_steps > 0:
-        emb = gcn.forward(client_params, ref.adjacency.normalized(mask.weights), g.features)
-        H = emb.H2 if use_logits else emb.H1
-        recon = ies.reconstruct(H, g.edges)
+        recon = ies.model_reconstruction(client_params, ref.adjacency.normalized(mask.weights),
+                                         g, use_logits)
         lam = ies.g_lambda(ref.pacing, round_t)
         mask = ies.mask_step(mask, recon, lam, gamma, mask, lr_aggr, n_steps)
         ref.per_client_masks[client_id] = mask

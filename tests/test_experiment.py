@@ -320,6 +320,23 @@ def test_edge_weight_writer_matches_fmt_reference(tmp_path, num_edges):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def reference_write_matrix(path, mat):
+    with open(path, "w", newline="\n") as f:
+        for row in mat:
+            f.write(",".join(map(graphs._fmt, row)) + "\n")
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (3, 0), (16, 16)])
+def test_matrix_writer_matches_fmt_reference(tmp_path, shape):
+    rng = np.random.default_rng(shape[0])
+    mat = rng.random(shape)
+    special = [0.0, 1.0, 1e-300, 5e-324, -0.0, 1 / 3, 1e16]
+    mat.ravel()[:len(special)] = special[:mat.size]
+    experiment._write_matrix(str(tmp_path / "new.csv"), mat)
+    reference_write_matrix(str(tmp_path / "ref.csv"), mat)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_readme_methods_table_matches_config():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     aggregation = {"similarity": "per-client softmax(τ·CKA similarity)",

@@ -145,6 +145,16 @@ class TestForward:
         assert np.allclose(emb.H1, H1, atol=1e-12)
         assert np.allclose(emb.H2, H2, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_layer_association_bytes(self, seed):
+        # layer 1 propagates the d_x-wide features, layer 2 the num_classes-wide product
+        params, adj, X, _, _, _ = random_instance(seed, n=40, d_x=16, hidden=128)
+        emb = gcn.forward(params, adj, X)
+        H1 = np.maximum((adj @ X) @ params.W1 + params.b1, 0.0)
+        H2 = adj @ (H1 @ params.W2) + params.b2
+        assert emb.H1.tobytes() == H1.tobytes()
+        assert emb.H2.tobytes() == H2.tobytes()
+
     def test_shape_mismatch(self):
         params = gcn.init_params(3, 4, 2, seed=0)
         adj = sp.eye(2, format="csr")

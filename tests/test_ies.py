@@ -76,15 +76,36 @@ def reference_reconstruct(embeddings, edges):
 @pytest.mark.parametrize("hidden", [2, 128])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_reconstruct_matches_reference_bytes(num_edges, hidden, order):
-    rng = np.random.default_rng(num_edges + hidden)
-    n = 500
-    H = np.maximum(rng.standard_normal((n, hidden)), 0.0)
-    H[rng.random(n) < 0.1] = 0.0  # zero rows
-    H = np.asarray(H, order=order)
-    edges = rng.integers(0, n, size=(num_edges, 2))
-    got = ies.reconstruct(H, edges)
-    want = reference_reconstruct(H, edges)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for kind in ("relu", "signed", "parallel", "nan"):
+        rng = np.random.default_rng(num_edges + hidden)
+        n = 500
+        H = rng.standard_normal((n, hidden))
+        if kind == "relu":
+            H = np.maximum(H, 0.0)
+        elif kind == "parallel":  # scaled copies: cosines at +-1, where rounding needs the clip
+            H = rng.uniform(-3, 3, (n, 1)) * H[rng.integers(0, 4, n)]
+        H[rng.random(n) < 0.1] = 0.0  # zero rows
+        if kind == "signed":
+            H[rng.random(n) < 0.05] = -0.0
+        elif kind == "nan":  # a NaN norm fails `denom > 0`, so its edges read 0
+            H[rng.random(n) < 0.05] = np.nan
+        H = np.asarray(H, order=order)
+        edges = rng.integers(0, n, size=(num_edges, 2))
+        got = ies.reconstruct(H, edges)
+        want = reference_reconstruct(H, edges)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), kind
+
+
+@pytest.mark.parametrize("use_logits", [False, True])
+def test_model_reconstruction_is_forward_then_reconstruct(use_logits):
+    g = graphs.generate_sbm(2, 30, 0.3, 0.05, 16, 2, np.random.default_rng(0))
+    params = gcn.init_params(16, 32, 2, seed=1)
+    adj = gcn.Adjacency(g.edges, g.num_nodes).normalized(
+        np.random.default_rng(2).random(g.num_edges))
+    emb = gcn.forward(params, adj, g.features)
+    want = ies.reconstruct(emb.H2 if use_logits else emb.H1, g.edges)
+    got = ies.model_reconstruction(params, adj, g, use_logits)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestObjective:
@@ -250,3 +271,32 @@ class TestWarmupMask:
         mask = ies.EdgeMask(e, np.array([0.5]))
         out = ies.mask_step(mask, np.array([-0.5]), 0.015, 0.001, mask, 0.0005, 1)
         assert out.weights[0] == pytest.approx(0.4992575, abs=1e-12)
+
+
+def reference_mask_step(weights, recon, lam, gamma, anchor_weights, lr_mask, n_steps):
+    """The allocating loop that `mask_step` must reproduce."""
+    r = np.abs(1.0 - recon)
+    w = weights.copy()
+    for _ in range(n_steps):
+        grad = (r - lam) + gamma * (w - anchor_weights)
+        w = np.clip(w - lr_mask * grad, 0.0, 1.0)
+    return w
+
+
+@pytest.mark.parametrize("n", [0, 1, 2489])
+@pytest.mark.parametrize("anchor_is_mask", [True, False])
+@pytest.mark.parametrize("lr_mask", [1e-5, 0.0005, 0.5])
+def test_mask_step_matches_reference_bytes(n, anchor_is_mask, lr_mask):
+    rng = np.random.default_rng(n)
+    e = np.zeros((n, 2), dtype=np.int64)
+    for ws in (rng.random(n), rng.integers(0, 4, size=n) / 4.0,
+               rng.choice([0.0, -0.0, 5e-324, 0.5, 1.0], size=n)):
+        recon = rng.uniform(-1, 1, n)
+        recon[rng.random(n) < 0.2] = 1.0
+        mask = ies.EdgeMask(e, ws.copy())
+        anchor = mask if anchor_is_mask else ies.EdgeMask(e, rng.random(n))
+        for lam, gamma, steps in ((0.0, 0.001, 1), (0.3, 0.001, 10), (1.0, 0.0, 3)):
+            got = ies.mask_step(mask, recon, lam, gamma, anchor, lr_mask, steps)
+            want = reference_mask_step(ws, recon, lam, gamma, anchor.weights, lr_mask, steps)
+            assert got.weights.tobytes() == want.tobytes()
+            assert mask.weights.tobytes() == ws.tobytes()  # the input is not written

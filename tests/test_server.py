@@ -57,6 +57,44 @@ class TestExtVectorize:
         assert np.array_equal(out[order[:k]], np.zeros(k))
         assert np.array_equal(out[order[k:]], ws[order[k:]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("frac", [0.0, 0.3])
+    def test_nonfinite_weights_rejected(self, bad, frac):
+        ws = np.linspace(0.1, 1.0, 10)
+        ws[[2, 5]] = bad
+        with pytest.raises(ValueError, match="2 of 10 mask weights are non-finite"):
+            server.ext_vectorize(self.mask(ws), frac)
+
+
+def reference_ext_vectorize(weights, prune_frac):
+    """The stable-argsort pruning that `ext_vectorize` must reproduce."""
+    u = np.array(weights, dtype=np.float64)
+    k = int(np.floor(prune_frac * u.shape[0]))
+    if k > 0:
+        u[np.argsort(u, kind="stable")[:k]] = 0.0
+    return u
+
+
+def pruning_cases(n, seed):
+    rng = np.random.default_rng(seed)
+    yield rng.random(n)                                    # distinct values
+    yield rng.integers(0, 4, size=n) / 4.0                 # many ties
+    yield rng.choice([0.0, -0.0, 5e-324, 0.5, 1.0], size=n)  # signed zeros, subnormal
+    w = rng.random(n)                                      # clipped mask values
+    w[rng.random(n) < 0.3] = 1.0
+    w[rng.random(n) < 0.3] = 0.0
+    yield w
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 2489])
+@pytest.mark.parametrize("frac", [0.0, 0.3, 0.5, 0.99])
+def test_ext_vectorize_matches_argsort_reference_bytes(n, frac):
+    for ws in pruning_cases(n, seed=n):
+        e = np.zeros((n, 2), dtype=np.int64)
+        got = server.ext_vectorize(ies.EdgeMask(e, ws.copy()), frac)
+        want = reference_ext_vectorize(ws, frac)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestLinearCka:
     def test_identical(self):
