@@ -14,13 +14,7 @@ def cmd_generate(args) -> int:
     out = args.out
     if os.path.isdir(out) and os.listdir(out) and not args.force:
         raise ValueError(f"output directory {out} is not empty (use --force)")
-    if args.generator == "sbm":
-        g = graphs.generate_sbm(args.blocks, args.block_size, args.p_in, args.p_cross,
-                                args.dx, args.num_classes, args.seed)
-    elif args.generator == "er":
-        g = graphs.generate_er(args.n, args.p, args.dx, args.num_classes, args.seed)
-    else:
-        g = graphs.generate_ba(args.n, args.m, args.dx, args.num_classes, args.seed)
+    g = graphs.GENERATORS[args.generator](args, args.dx, args.num_classes, args.seed)
     graphs.save_graph_dir(g, out)
     print(f"wrote {g.num_nodes} nodes, {g.num_edges} edges to {out}")
     return 0

@@ -6,7 +6,10 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import reduce
 from typing import NamedTuple
+
+from .graphs import GENERATORS
 
 
 class Method(NamedTuple):
@@ -15,7 +18,7 @@ class Method(NamedTuple):
     aggregation: str    # similarity | mean | none
 
 
-# The README's methods table lists the same rows.
+# The README's methods table lists the same rows; a test compares the two.
 METHODS = {
     "CUFL": Method(mask=True, prox=True, aggregation="similarity"),
     "FedAvg": Method(mask=False, prox=False, aggregation="mean"),
@@ -119,33 +122,41 @@ class ExperimentConfig:
 
     def validate(self):
         _check_types(self, "")
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.num_clients < 1:
-            raise ConfigError("num_clients must be >= 1")
+
+        def value(key):
+            return reduce(getattr, key.split("."), self)
+
+        for key, choices in (("method", tuple(METHODS)),
+                             ("dataset.kind", (*GENERATORS, "dir")),
+                             ("reference.kind", tuple(GENERATORS)),
+                             ("partition.kind", ("bisection", "louvain", "overlap", "file")),
+                             ("ies.embeddings", ("hidden", "logits"))):
+            if value(key) not in choices:
+                raise ConfigError(f"config key {key!r} must be one of {choices}, "
+                                  f"got {value(key)!r}")
+        method = METHODS[self.method]
+        lower_bounds = [("rounds", 0), ("epochs", 1), ("num_clients", 1),
+                        ("fed.tau_update_interval", 1), ("warmup.rounds", 0),
+                        ("warmup.steps", 0)]
+        if method.mask or method.aggregation == "similarity":  # these call mask_step
+            lower_bounds.append(("ies.steps", 1))
+        for key, low in lower_bounds:
+            if value(key) < low:
+                raise ConfigError(f"config key {key!r} must be >= {low}, got {value(key)}")
+        for key in ("model.lr", "ies.lr_train", "ies.lr_aggr"):
+            if value(key) <= 0:
+                raise ConfigError(f"config key {key!r} must be positive")
         if self.dump_rounds is not None:
             bad = [t for t in self.dump_rounds if not 1 <= t <= self.rounds]
             if bad:
                 raise ConfigError(f"config key 'dump_rounds' entries must lie in "
                                   f"1..rounds={self.rounds}, got {bad}")
-        for name, v in (("model.lr", self.model.lr), ("ies.lr_train", self.ies.lr_train),
-                        ("ies.lr_aggr", self.ies.lr_aggr)):
-            if v <= 0:
-                raise ConfigError(f"{name} must be positive")
         if isinstance(self.fed.tau, str) and self.fed.tau != "adaptive":
-            raise ConfigError("fed.tau must be a number or 'adaptive'")
+            raise ConfigError("config key 'fed.tau' must be a number or 'adaptive'")
         if not 0.0 <= self.fed.prune_frac < 1.0:
-            raise ConfigError("fed.prune_frac must lie in [0, 1)")
-        if self.dataset.kind not in ("sbm", "er", "ba", "dir"):
-            raise ConfigError("dataset.kind must be sbm, er, ba or dir")
+            raise ConfigError("config key 'fed.prune_frac' must lie in [0, 1)")
         if self.dataset.kind == "dir" and not self.dataset.path:
             raise ConfigError("dataset.path is required for dataset.kind='dir'")
-        if self.partition.kind not in ("bisection", "louvain", "overlap", "file"):
-            raise ConfigError("partition.kind must be bisection, louvain, overlap or file")
         if self.partition.kind == "file" and self.dataset.kind != "dir":
             raise ConfigError("partition.kind='file' requires dataset.kind='dir'")
 

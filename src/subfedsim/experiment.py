@@ -12,7 +12,7 @@ import numpy as np
 import scipy
 
 from . import __version__, gcn, graphs, ies, server
-from .config import METHODS, ExperimentConfig, to_dict
+from .config import METHODS, ExperimentConfig, Method, to_dict
 from .graphs import _fmt
 
 _MASK64 = (1 << 64) - 1
@@ -45,7 +45,6 @@ class ClientState:
     adam: gcn.AdamState
     pacing: ies.PacingSchedule
     tau_state: server.TauState
-    lam: float = 0.0
     adjacency: gcn.Adjacency = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -113,17 +112,9 @@ def bin_match_ratio(ref_recon: np.ndarray, other_recon: np.ndarray,
 
 def _build_dataset(cfg: ExperimentConfig) -> graphs.Graph:
     ds = cfg.dataset
-    seed = mix_seed(cfg.seed, 0xDA7A)
-    if ds.kind == "sbm":
-        return graphs.generate_sbm(ds.blocks, ds.block_size, ds.p_in, ds.p_cross,
-                                   ds.dx, ds.num_classes, seed)
-    if ds.kind == "er":
-        return graphs.generate_er(ds.n, ds.p, ds.dx, ds.num_classes, seed)
-    if ds.kind == "ba":
-        return graphs.generate_ba(ds.n, ds.m, ds.dx, ds.num_classes, seed)
     if ds.kind == "dir":
         return graphs.load_graph_dir(ds.path)
-    raise ValueError(f"unknown dataset kind {ds.kind!r}")
+    return graphs.GENERATORS[ds.kind](ds, ds.dx, ds.num_classes, mix_seed(cfg.seed, 0xDA7A))
 
 
 def _build_partition(cfg: ExperimentConfig, g: graphs.Graph) -> graphs.Partition:
@@ -134,12 +125,8 @@ def _build_partition(cfg: ExperimentConfig, g: graphs.Graph) -> graphs.Partition
     if ps.kind == "louvain":
         return graphs.partition_louvain_merge(g, cfg.num_clients, seed)
     if ps.kind == "overlap":
-        part = graphs.sample_overlap_clients(g, ps.base_parts, ps.copies_per_part,
+        return graphs.sample_overlap_clients(g, ps.base_parts, ps.copies_per_part,
                                              ps.frac, seed)
-        if part.K != cfg.num_clients:
-            raise ValueError(
-                f"overlap partition yields {part.K} clients but num_clients={cfg.num_clients}")
-        return part
     if ps.kind == "file":
         return graphs.load_partition_csv(os.path.join(cfg.dataset.path, "partition.csv"),
                                          g.num_nodes)
@@ -147,20 +134,12 @@ def _build_partition(cfg: ExperimentConfig, g: graphs.Graph) -> graphs.Partition
 
 
 def _build_reference(cfg: ExperimentConfig, d_x: int) -> graphs.Graph:
+    # two classes for every kind: the reference graph's labels are never read
     rs = cfg.reference
-    seed = mix_seed(cfg.seed, 0x4EF)
-    if rs.kind == "sbm":
-        return graphs.generate_sbm(rs.blocks, rs.block_size, rs.p_in, rs.p_cross,
-                                   d_x, max(rs.blocks, 1), seed)
-    if rs.kind == "er":
-        return graphs.generate_er(rs.n, rs.p, d_x, 2, seed)
-    if rs.kind == "ba":
-        return graphs.generate_ba(rs.n, rs.m, d_x, 2, seed)
-    raise ValueError(f"unknown reference kind {rs.kind!r}")
+    return graphs.GENERATORS[rs.kind](rs, d_x, 2, mix_seed(cfg.seed, 0x4EF))
 
 
-def infer_clusters(cfg: ExperimentConfig, part: graphs.Partition,
-                   g: graphs.Graph) -> list | None:
+def infer_clusters(cfg: ExperimentConfig, part: graphs.Partition) -> list | None:
     """Ground-truth client clusters when derivable from the setup."""
     if cfg.partition.kind == "overlap":
         return [i // cfg.partition.copies_per_part for i in range(part.K)]
@@ -187,31 +166,31 @@ def _evaluate(state: ClientState, params: gcn.GcnParams) -> dict:
 
 
 def local_training_stage(state: ClientState, t: int, cfg: ExperimentConfig,
-                         use_mask: bool, use_prox: bool) -> float:
-    """Run one round of local training; returns the final epoch's loss."""
+                         method: Method) -> float:
+    """Run round t of local training; returns the final epoch's loss."""
     g = state.graph
     anchor = state.params.copy()
     trained = state.params
     adam = state.adam
     mask = state.mask
-    beta = cfg.fed.beta if use_prox else 0.0
+    beta = cfg.fed.beta if method.prox else 0.0
+    lam = ies.g_lambda(state.pacing, t)
     use_logits = cfg.ies.embeddings == "logits"
     train_mask = state.split.mask(graphs.TRAIN)
     loss = float("nan")
     for _ in range(cfg.epochs):
-        adj = (state.adjacency.normalized(mask.weights) if use_mask
+        adj = (state.adjacency.normalized(mask.weights) if method.mask
                else state.adjacency.unmasked)
         loss, grads = gcn.loss_and_grads(trained, adj, g.features, g.labels,
                                          train_mask, anchor, beta)
         trained, adam = gcn.adam_step(trained, grads, adam, cfg.model.lr)
-        if use_mask and g.num_edges:
+        if method.mask and g.num_edges:
             recon = ies.model_reconstruction(trained, adj, g, use_logits)
-            mask = ies.mask_step(mask, recon, state.lam, cfg.ies.gamma, mask,
+            mask = ies.mask_step(mask, recon, lam, cfg.ies.gamma, mask,
                                  cfg.ies.lr_train, cfg.ies.steps)
     state.trained = trained
     state.adam = adam
     state.mask = mask
-    state.lam = ies.g_lambda(state.pacing, t + 1)
     return loss
 
 
@@ -328,7 +307,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     part = _build_partition(cfg, g)
     if part.K != cfg.num_clients:
         raise ValueError(f"partition has {part.K} clients, config says {cfg.num_clients}")
-    clusters = infer_clusters(cfg, part, g)
+    clusters = infer_clusters(cfg, part)
 
     init_p = gcn.init_params(g.d_x, cfg.model.hidden, g.num_classes,
                              mix_seed(cfg.seed, 0x1417))
@@ -344,8 +323,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             client_id=k, graph=sub, split=split,
             params=init_p.copy(), trained=init_p.copy(),
             mask=ies.uniform_mask(sub, cfg.ies.init_value),
-            adam=gcn.init_adam(init_p), pacing=pacing, tau_state=tau0,
-            lam=ies.g_lambda(pacing, 1)))
+            adam=gcn.init_adam(init_p), pacing=pacing, tau_state=tau0))
 
     method = METHODS[cfg.method]
     use_similarity = method.aggregation == "similarity"
@@ -361,8 +339,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     dump_rounds = set(cfg.effective_dump_rounds()) if out_dir else set()
     records = []
     for t in range(1, cfg.rounds + 1):
-        losses = [local_training_stage(st, t, cfg, method.mask, method.prox)
-                  for st in states]
+        losses = [local_training_stage(st, t, cfg, method) for st in states]
         sim = alpha = None
         taus = [None] * len(states)
         if use_similarity:

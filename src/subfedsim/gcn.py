@@ -64,14 +64,14 @@ class Embeddings:
     H2: np.ndarray  # (n, num_classes) logits
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates, offset
+
+
 @dataclass
 class AdamState:
     m: GcnParams
     v: GcnParams
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_params(d_x: int, hidden: int, num_classes: int, seed: int) -> GcnParams:
@@ -219,14 +219,12 @@ def adam_step(params: GcnParams, grads: GcnParams, state: AdamState, lr: float):
         raise ValueError(f"non-finite gradient in tensor {name}")
     t = state.step + 1
     g = grads.flat
-    m = state.beta1 * state.m.flat + (1 - state.beta1) * g
-    v = state.beta2 * state.v.flat + (1 - state.beta2) * g * g
-    mhat = m / (1 - state.beta1 ** t)
-    vhat = v / (1 - state.beta2 ** t)
-    new_p = params.flat - lr * mhat / (np.sqrt(vhat) + state.eps)
-    return (params.like(new_p),
-            AdamState(m=params.like(m), v=params.like(v), step=t,
-                      beta1=state.beta1, beta2=state.beta2, eps=state.eps))
+    m = ADAM_BETA1 * state.m.flat + (1 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v.flat + (1 - ADAM_BETA2) * g * g
+    mhat = m / (1 - ADAM_BETA1 ** t)
+    vhat = v / (1 - ADAM_BETA2 ** t)
+    new_p = params.flat - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    return params.like(new_p), AdamState(m=params.like(m), v=params.like(v), step=t)
 
 
 def accuracy(emb: Embeddings, labels: np.ndarray, mask: np.ndarray) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -81,8 +81,11 @@ class NodeSplit:
 class Partition:
     """Assignment of global nodes to K clients; a node may appear in several lists."""
 
-    K: int
-    client_node_lists: list = field(default_factory=list)  # K lists of global node ids
+    client_node_lists: list  # K lists of global node ids
+
+    @property
+    def K(self) -> int:
+        return len(self.client_node_lists)
 
 
 def _normalize_edges(raw: np.ndarray) -> np.ndarray:
@@ -96,12 +99,6 @@ def _normalize_edges(raw: np.ndarray) -> np.ndarray:
     hi = np.maximum(raw[:, 0], raw[:, 1])
     e = np.unique(np.stack([lo, hi], axis=1), axis=0)
     return e
-
-
-def _pairs_to_edges(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    e = np.stack([u, v], axis=1).astype(np.int64)
-    order = np.lexsort((e[:, 1], e[:, 0]))
-    return e[order]
 
 
 # Pairs drawn per `rng.random` call by `_sample_pairs`; bounds its memory.
@@ -188,13 +185,21 @@ def generate_ba(num_nodes: int, m: int, d_x: int, num_classes: int, seed: int) -
         for t in sorted(targets):
             edges.append((t, new))
             repeated.extend((t, new))
-    e = np.array(edges, dtype=np.int64)
-    e = _pairs_to_edges(np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1]))
     features = rng.standard_normal((num_nodes, d_x))
     labels = rng.integers(0, num_classes, size=num_nodes)
-    g = Graph(num_nodes, features, labels, e, num_classes)
+    g = Graph(num_nodes, features, labels, _normalize_edges(np.array(edges)), num_classes)
     g.validate()
     return g
+
+
+# kind -> fn(spec, d_x, num_classes, seed). Each reads its own fields of `spec`: a
+# config DatasetSpec or ReferenceSpec, or the `generate` command's arguments.
+GENERATORS = {
+    "sbm": lambda s, d_x, c, seed: generate_sbm(s.blocks, s.block_size, s.p_in, s.p_cross,
+                                                d_x, c, seed),
+    "er": lambda s, d_x, c, seed: generate_er(s.n, s.p, d_x, c, seed),
+    "ba": lambda s, d_x, c, seed: generate_ba(s.n, s.m, d_x, c, seed),
+}
 
 
 def _to_networkx(g: Graph) -> nx.Graph:
@@ -343,7 +348,7 @@ def partition_bisection(g: Graph, K: int, seed: int) -> Partition:
     if K > g.num_nodes:
         raise ValueError("K must not exceed the number of nodes")
     rng = np.random.default_rng(seed)
-    return Partition(K=K, client_node_lists=_recursive_bisect(g, np.arange(g.num_nodes), K, rng))
+    return Partition(_recursive_bisect(g, np.arange(g.num_nodes), K, rng))
 
 
 def partition_louvain_merge(g: Graph, K: int, seed: int) -> Partition:
@@ -368,7 +373,7 @@ def partition_louvain_merge(g: Graph, K: int, seed: int) -> Partition:
     groups = [[] for _ in range(K)]
     for i, ci in enumerate(order):
         groups[i % K].extend(comms[ci])
-    return Partition(K=K, client_node_lists=[sorted(p) for p in groups])
+    return Partition([sorted(p) for p in groups])
 
 
 def sample_overlap_clients(g: Graph, base_parts: int, copies_per_part: int,
@@ -386,7 +391,7 @@ def sample_overlap_clients(g: Graph, base_parts: int, copies_per_part: int,
         for _ in range(copies_per_part):
             sample = rng.choice(len(part), size=size, replace=False)
             lists.append(sorted(part[i] for i in sample))
-    return Partition(K=base_parts * copies_per_part, client_node_lists=lists)
+    return Partition(lists)
 
 
 def induced_subgraph(g: Graph, nodes: list) -> Graph:
@@ -558,4 +563,4 @@ def load_partition_csv(path: str, num_nodes: int) -> Partition:
     if empty:
         raise GraphParseError(f"{path}: client ids must run 0..{K - 1} without gaps; "
                               f"client {empty[0]} has no nodes")
-    return Partition(K=K, client_node_lists=lists)
+    return Partition(lists)

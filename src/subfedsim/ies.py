@@ -34,9 +34,6 @@ class EdgeMask:
         if self.weights.shape[0] != self.edges.shape[0]:
             raise ValueError("weights must align with the edge list")
 
-    def copy(self) -> "EdgeMask":
-        return EdgeMask(self.edges, self.weights.copy())
-
 
 def uniform_mask(g: Graph, value: float = 0.5) -> EdgeMask:
     return EdgeMask(g.edges, np.full(g.num_edges, float(value)))

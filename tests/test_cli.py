@@ -61,6 +61,28 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
         assert run_cli("generate", "ba", "--n", "10", "--force", str(out)) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["sbm", "--blocks", "3", "--block-size", "15", "--p-in", "0.3", "--p-cross", "0.02",
+         "--num-classes", "3", "--seed", "4"],
+        ["er", "--n", "40", "--p", "0.1", "--dx", "5", "--seed", "2"],
+        ["ba", "--n", "40", "--m", "3", "--num-classes", "4", "--seed", "1"],
+    ])
+    def test_bytes_match_per_kind_dispatch(self, tmp_path, argv):
+        assert run_cli("generate", *argv, str(tmp_path / "new")) == 0
+        # the per-kind dispatch `cmd_generate` used before `graphs.GENERATORS`
+        a = cli.build_parser().parse_args(["generate", *argv, "unused"])
+        if a.generator == "sbm":
+            g = graphs.generate_sbm(a.blocks, a.block_size, a.p_in, a.p_cross,
+                                    a.dx, a.num_classes, a.seed)
+        elif a.generator == "er":
+            g = graphs.generate_er(a.n, a.p, a.dx, a.num_classes, a.seed)
+        else:
+            g = graphs.generate_ba(a.n, a.m, a.dx, a.num_classes, a.seed)
+        graphs.save_graph_dir(g, str(tmp_path / "ref"))
+        for name in ("nodes.csv", "edges.csv"):
+            assert (tmp_path / "new" / name).read_bytes() == \
+                (tmp_path / "ref" / name).read_bytes()
+
 
 class TestRun:
     def test_run_writes_artifacts(self, tmp_path, capsys):
@@ -128,6 +150,13 @@ class TestRun:
         ("fed.tau=-Infinity", "fed.tau"),
         ("fed.tau=1e400", "fed.tau"),
         ("split_ratios=[2, NaN, 4]", "split_ratios"),
+        ("ies.embeddings=logit", "ies.embeddings"),
+        ("fed.tau_update_interval=0", "fed.tau_update_interval"),
+        ("reference.kind=xyz", "reference.kind"),
+        ("dataset.kind=xyz", "dataset.kind"),
+        ("ies.steps=0", "ies.steps"),
+        ("warmup.steps=-1", "warmup.steps"),
+        ("warmup.rounds=-1", "warmup.rounds"),
     ])
     def test_wrong_typed_override_errors(self, tmp_path, capsys, override, key):
         cfg = write_cfg(tmp_path)
@@ -136,6 +165,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
         assert not (tmp_path / "x").exists()
+
+    def test_ies_steps_bound_follows_the_method(self):
+        from subfedsim import config
+        base = config.ExperimentConfig()
+        for name in config.METHODS:
+            overrides = [f"method={name}", "ies.steps=0"]
+            if name in ("CUFL", "FedAvgCL"):  # the methods that call mask_step
+                with pytest.raises(config.ConfigError, match="'ies.steps'"):
+                    config.apply_overrides(base, overrides)
+            else:
+                assert config.apply_overrides(base, overrides).ies.steps == 0
 
     def test_int_and_float_spellings_echo_alike(self):
         from subfedsim import config

@@ -32,7 +32,7 @@ def make_state(k, cfg, seed=0, params=None):
     return experiment.ClientState(
         client_id=k, graph=g, split=split, params=p.copy(), trained=p.copy(),
         mask=ies.uniform_mask(g, cfg.ies.init_value), adam=gcn.init_adam(p),
-        pacing=pacing, tau_state=server.TauState(), lam=ies.g_lambda(pacing, 1))
+        pacing=pacing, tau_state=server.TauState())
 
 
 class TestMixSeed:
@@ -143,7 +143,7 @@ class TestLocalStage:
         cfg = tiny_cfg(model=config.ModelSpec(hidden=16, lr=1e-12))
         st = make_state(0, cfg)
         before = st.params.copy()
-        experiment.local_training_stage(st, 1, cfg, use_mask=False, use_prox=True)
+        experiment.local_training_stage(st, 1, cfg, config.METHODS["FedProx"])
         assert st.trained.sq_distance(before) < 1e-18
 
     def test_training_reduces_loss_over_rounds(self):
@@ -151,23 +151,37 @@ class TestLocalStage:
         st = make_state(0, cfg)
         losses = []
         for t in range(1, 30):
-            losses.append(experiment.local_training_stage(st, t, cfg, False, False))
+            losses.append(experiment.local_training_stage(st, t, cfg,
+                                                          config.METHODS["FedAvg"]))
             st.params = st.trained.copy()
         assert losses[-1] < losses[0]
 
-    def test_lambda_advances(self):
+    def test_round_t_mask_step_uses_g_lambda_of_t(self):
         cfg = tiny_cfg()
         st = make_state(0, cfg)
-        lam0 = st.lam
-        experiment.local_training_stage(st, 1, cfg, True, True)
-        assert st.lam == ies.g_lambda(st.pacing, 2)
-        assert st.lam >= lam0
+        ref = make_state(0, cfg)
+        lams = [ies.g_lambda(st.pacing, t) for t in (1, 2, 3)]
+        assert lams[0] < lams[1]  # the rounds below see different thresholds
+        for t, lam in zip((1, 2, 3), lams):
+            experiment.local_training_stage(st, t, cfg, config.METHODS["CUFL"])
+            # the same round by hand: one epoch, then a mask step at g_lambda(t)
+            adj = ref.adjacency.normalized(ref.mask.weights)
+            _, grads = gcn.loss_and_grads(ref.params, adj, ref.graph.features,
+                                          ref.graph.labels, ref.split.mask(graphs.TRAIN),
+                                          ref.params.copy(), cfg.fed.beta)
+            ref.trained, ref.adam = gcn.adam_step(ref.params, grads, ref.adam, cfg.model.lr)
+            recon = ies.model_reconstruction(ref.trained, adj, ref.graph)
+            ref.mask = ies.mask_step(ref.mask, recon, lam, cfg.ies.gamma, ref.mask,
+                                     cfg.ies.lr_train, cfg.ies.steps)
+            assert st.mask.weights.tobytes() == ref.mask.weights.tobytes(), t
+            assert st.trained.flat.tobytes() == ref.trained.flat.tobytes(), t
+            st.params, ref.params = st.trained.copy(), ref.trained.copy()
 
     def test_mask_untouched_without_use_mask(self):
         cfg = tiny_cfg()
         st = make_state(0, cfg)
         before = st.mask.weights.copy()
-        experiment.local_training_stage(st, 1, cfg, use_mask=False, use_prox=False)
+        experiment.local_training_stage(st, 1, cfg, config.METHODS["FedAvg"])
         assert np.array_equal(st.mask.weights, before)
 
 
@@ -299,6 +313,70 @@ class TestRunExperiment:
                        rounds=1)
         res = experiment.run_experiment(cfg)
         assert res.clusters == [0, 0, 1, 1]
+
+
+def reference_build_dataset(cfg):
+    """The per-kind dispatch `_build_dataset` used before `graphs.GENERATORS`."""
+    ds = cfg.dataset
+    seed = experiment.mix_seed(cfg.seed, 0xDA7A)
+    if ds.kind == "sbm":
+        return graphs.generate_sbm(ds.blocks, ds.block_size, ds.p_in, ds.p_cross,
+                                   ds.dx, ds.num_classes, seed)
+    if ds.kind == "er":
+        return graphs.generate_er(ds.n, ds.p, ds.dx, ds.num_classes, seed)
+    return graphs.generate_ba(ds.n, ds.m, ds.dx, ds.num_classes, seed)
+
+
+def reference_build_reference(cfg, d_x):
+    """The per-kind dispatch `_build_reference` used, with its class counts."""
+    rs = cfg.reference
+    seed = experiment.mix_seed(cfg.seed, 0x4EF)
+    if rs.kind == "sbm":
+        return graphs.generate_sbm(rs.blocks, rs.block_size, rs.p_in, rs.p_cross,
+                                   d_x, max(rs.blocks, 1), seed)
+    if rs.kind == "er":
+        return graphs.generate_er(rs.n, rs.p, d_x, 2, seed)
+    return graphs.generate_ba(rs.n, rs.m, d_x, 2, seed)
+
+
+class TestGeneratorTable:
+    @pytest.mark.parametrize("kind", ["sbm", "er", "ba"])
+    @pytest.mark.parametrize("seed, num_classes", [(0, 2), (1, 3)])
+    def test_dataset_matches_dispatch_bytes(self, kind, seed, num_classes):
+        cfg = config.ExperimentConfig(seed=seed)
+        cfg.dataset = config.DatasetSpec(kind=kind, blocks=3, block_size=40, p_in=0.2,
+                                         p_cross=0.02, n=120, p=0.05, m=3, dx=5,
+                                         num_classes=num_classes)
+        got, ref = experiment._build_dataset(cfg), reference_build_dataset(cfg)
+        assert got.num_nodes == ref.num_nodes and got.num_classes == ref.num_classes
+        for a, b in ((got.edges, ref.edges), (got.features, ref.features),
+                     (got.labels, ref.labels)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        config.ReferenceSpec(),
+        config.ReferenceSpec(blocks=1, block_size=30, p_in=0.3),
+        config.ReferenceSpec(blocks=2, block_size=20, p_in=0.2, p_cross=0.05),
+        config.ReferenceSpec(kind="er", n=200, p=0.04),
+        config.ReferenceSpec(kind="ba", n=200, m=3),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reference_matches_dispatch_bytes(self, spec, seed):
+        cfg = config.ExperimentConfig(seed=seed, reference=spec)
+        got, ref = experiment._build_reference(cfg, 7), reference_build_reference(cfg, 7)
+        assert got.num_nodes == ref.num_nodes and got.num_classes == 2
+        for a, b in ((got.edges, ref.edges), (got.features, ref.features)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        if spec.kind != "sbm":  # one class count for every kind changes sbm labels only
+            assert got.labels.tobytes() == ref.labels.tobytes()
+
+    def test_config_kinds_come_from_the_table(self):
+        for kind in graphs.GENERATORS:
+            config.from_dict({"dataset": {"kind": kind}, "reference": {"kind": kind}})
+        with pytest.raises(config.ConfigError, match="'reference.kind'"):
+            config.from_dict({"reference": {"kind": "dir"}})
 
 
 def reference_write_edge_weights(path, edges, weights):

@@ -243,7 +243,7 @@ class TestFlatParams:
         ref_p = dict(params.tensors())
         ref_m = {n: np.zeros_like(t) for n, t in ref_p.items()}
         ref_v = {n: np.zeros_like(t) for n, t in ref_p.items()}
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
+        b1, b2, eps, lr = gcn.ADAM_BETA1, gcn.ADAM_BETA2, gcn.ADAM_EPS, 0.01
         for t in (1, 2, 3):
             grads = params.like(rng.standard_normal(params.flat.shape))
             params, state = gcn.adam_step(params, grads, state, lr)
@@ -277,8 +277,8 @@ class TestAdam:
         state = gcn.init_adam(params)
         lr = 0.01
         new_p, _ = gcn.adam_step(params, grads, state, lr)
-        expected = 1.0 - lr * g / (abs(g) + state.eps * np.sqrt(1 - state.beta2)
-                                   / (1 - state.beta1))
+        expected = 1.0 - lr * g / (abs(g) + gcn.ADAM_EPS * np.sqrt(1 - gcn.ADAM_BETA2)
+                                   / (1 - gcn.ADAM_BETA1))
         # epsilon placement differs by O(eps) across Adam conventions
         assert new_p.W1[0, 0] == pytest.approx(expected, abs=1e-9)
         assert new_p.W1[0, 0] == pytest.approx(1.0 - lr * np.sign(g), abs=1e-7)

@@ -405,6 +405,24 @@ def reference_generate_er(num_nodes, p, d_x, num_classes, seed):
     return graphs.Graph(num_nodes, features, labels, edges, num_classes)
 
 
+def reference_generate_ba(num_nodes, m, d_x, num_classes, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) for u in range(m + 1) for v in range(u + 1, m + 1)]
+    repeated = [x for e in edges for x in e]
+    for new in range(m + 1, num_nodes):
+        targets = set()
+        while len(targets) < m:
+            targets.add(repeated[rng.integers(0, len(repeated))])
+        for t in sorted(targets):
+            edges.append((t, new))
+            repeated.extend((t, new))
+    e = np.array(edges, dtype=np.int64)
+    e = reference_pairs_to_edges(np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1]))
+    features = rng.standard_normal((num_nodes, d_x))
+    labels = rng.integers(0, num_classes, size=num_nodes)
+    return graphs.Graph(num_nodes, features, labels, e, num_classes)
+
+
 def reference_induced_subgraph(g, nodes):
     nodes = sorted(nodes)
     index = {u: i for i, u in enumerate(nodes)}
@@ -477,6 +495,12 @@ class TestMatchesReference:
             assert n * (n - 1) // 2 > graphs._PAIR_BLOCK
         assert_same_graph_bytes(graphs.generate_er(n, p, 3, 3, seed),
                                 reference_generate_er(n, p, 3, 3, seed))
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (50, 1), (100, 2), (500, 2), (300, 5)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ba_matches_pairs_to_edges_reference(self, n, m, seed):
+        assert_same_graph_bytes(graphs.generate_ba(n, m, 3, 3, seed),
+                                reference_generate_ba(n, m, 3, 3, seed))
 
     def test_subgraphs_match_dict_reference(self):
         g = graphs.generate_sbm(2, 100, 0.1, 0.02, 4, 2, seed=9)
