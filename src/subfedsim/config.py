@@ -135,15 +135,18 @@ class ExperimentConfig:
                 raise ConfigError(f"config key {key!r} must be one of {choices}, "
                                   f"got {value(key)!r}")
         method = METHODS[self.method]
-        lower_bounds = [("rounds", 0), ("epochs", 1), ("num_clients", 1),
-                        ("fed.tau_update_interval", 1), ("warmup.rounds", 0),
-                        ("warmup.steps", 0)]
+        lower_bounds = [("rounds", 0), ("warmup.rounds", 0), ("warmup.steps", 0)]
+        lower_bounds += [(key, 1) for key in (
+            "epochs", "num_clients", "fed.tau_update_interval", "model.hidden", "dataset.dx",
+            "dataset.num_classes", "partition.base_parts", "partition.copies_per_part",
+            "dataset.blocks", "dataset.block_size", "dataset.n", "dataset.m",
+            "reference.blocks", "reference.block_size", "reference.n", "reference.m")]
         if method.mask or method.aggregation == "similarity":  # these call mask_step
             lower_bounds.append(("ies.steps", 1))
         for key, low in lower_bounds:
             if value(key) < low:
                 raise ConfigError(f"config key {key!r} must be >= {low}, got {value(key)}")
-        for key in ("model.lr", "ies.lr_train", "ies.lr_aggr"):
+        for key in ("model.lr", "ies.lr_train", "ies.lr_aggr", "ies.zeta"):
             if value(key) <= 0:
                 raise ConfigError(f"config key {key!r} must be positive")
         if self.dump_rounds is not None:
@@ -155,6 +158,8 @@ class ExperimentConfig:
             raise ConfigError("config key 'fed.tau' must be a number or 'adaptive'")
         if not 0.0 <= self.fed.prune_frac < 1.0:
             raise ConfigError("config key 'fed.prune_frac' must lie in [0, 1)")
+        if not 0.0 < self.partition.frac <= 1.0:
+            raise ConfigError("config key 'partition.frac' must lie in (0, 1]")
         if self.dataset.kind == "dir" and not self.dataset.path:
             raise ConfigError("dataset.path is required for dataset.kind='dir'")
         if self.partition.kind == "file" and self.dataset.kind != "dir":

@@ -41,9 +41,8 @@ class ClientState:
     split: graphs.NodeSplit
     params: gcn.GcnParams          # aggregated parameters entering the round
     trained: gcn.GcnParams         # locally trained parameters leaving the round
-    mask: ies.EdgeMask
+    mask: np.ndarray               # edge weights in [0, 1], aligned with graph.edges
     adam: gcn.AdamState
-    pacing: ies.PacingSchedule
     tau_state: server.TauState
     adjacency: gcn.Adjacency = field(init=False, repr=False, compare=False)
 
@@ -165,22 +164,25 @@ def _evaluate(state: ClientState, params: gcn.GcnParams) -> dict:
     return out
 
 
-def local_training_stage(state: ClientState, t: int, cfg: ExperimentConfig,
-                         method: Method) -> float:
-    """Run round t of local training; returns the final epoch's loss."""
-    g = state.graph
-    anchor = state.params.copy()
-    trained = state.params
-    adam = state.adam
-    mask = state.mask
+def _client_metrics(state: ClientState, params: gcn.GcnParams, loss, tau) -> dict:
+    """One row of metrics.csv: the loss and tau given, accuracies of params."""
+    accs = _evaluate(state, params)
+    return {"client": state.client_id, "train_loss": loss,
+            "train_acc": accs[graphs.TRAIN], "val_acc": accs[graphs.VAL],
+            "test_acc": accs[graphs.TEST], "tau": tau}
+
+
+def _train_epochs(state: ClientState, cfg: ExperimentConfig, method: Method,
+                  lam: float) -> float:
+    """cfg.epochs of local training from state.params; returns the final epoch's loss."""
+    g, anchor = state.graph, state.params.copy()
+    trained, adam, mask = state.params, state.adam, state.mask
     beta = cfg.fed.beta if method.prox else 0.0
-    lam = ies.g_lambda(state.pacing, t)
     use_logits = cfg.ies.embeddings == "logits"
     train_mask = state.split.mask(graphs.TRAIN)
     loss = float("nan")
     for _ in range(cfg.epochs):
-        adj = (state.adjacency.normalized(mask.weights) if method.mask
-               else state.adjacency.unmasked)
+        adj = state.adjacency.normalized(mask) if method.mask else state.adjacency.unmasked
         loss, grads = gcn.loss_and_grads(trained, adj, g.features, g.labels,
                                          train_mask, anchor, beta)
         trained, adam = gcn.adam_step(trained, grads, adam, cfg.model.lr)
@@ -188,10 +190,14 @@ def local_training_stage(state: ClientState, t: int, cfg: ExperimentConfig,
             recon = ies.model_reconstruction(trained, adj, g, use_logits)
             mask = ies.mask_step(mask, recon, lam, cfg.ies.gamma, mask,
                                  cfg.ies.lr_train, cfg.ies.steps)
-    state.trained = trained
-    state.adam = adam
-    state.mask = mask
+    state.trained, state.adam, state.mask = trained, adam, mask
     return loss
+
+
+def local_training_stage(state: ClientState, t: int, cfg: ExperimentConfig,
+                         method: Method) -> float:
+    """Run round t of local training; returns the final epoch's loss."""
+    return _train_epochs(state, cfg, method, ies.g_lambda(cfg.ies.zeta, cfg.rounds, t))
 
 
 def server_aggregation_stage(states: list, ref: server.ReferenceGraph, t: int,
@@ -202,7 +208,8 @@ def server_aggregation_stage(states: list, ref: server.ReferenceGraph, t: int,
     each state's `params` for round t+1.
     """
     use_logits = cfg.ies.embeddings == "logits"
-    indicators = [server.build_indicator(ref, st.trained, k, t, cfg.ies.gamma,
+    lam = ies.g_lambda(cfg.ies.zeta, cfg.rounds, t)
+    indicators = [server.build_indicator(ref, st.trained, k, lam, cfg.ies.gamma,
                                          cfg.ies.lr_aggr, cfg.ies.steps,
                                          cfg.fed.prune_frac, use_logits)
                   for k, st in enumerate(states)]
@@ -232,38 +239,29 @@ def _size_weighted_mean(states: list) -> gcn.GcnParams:
     return gcn.weighted_sum(sizes / sizes.sum(), [st.trained for st in states])
 
 
-def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams):
-    """FedProx pre-training of a shared model, then per-client mask warm-up.
+def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams) -> gcn.GcnParams:
+    """FedProx pre-training of a shared model (returned), then per-client mask warm-up.
 
     Only the masks keep warm-up state; GNN parameters are reset afterwards.
     """
-    if cfg.warmup.rounds > 0:
-        global_p = init_params.copy()
-        for _ in range(cfg.warmup.rounds):
-            for st in states:
-                trained = global_p.copy()
-                adam = gcn.init_adam(trained)
-                g = st.graph
-                tm = st.split.mask(graphs.TRAIN)
-                for _ in range(cfg.epochs):
-                    _, grads = gcn.loss_and_grads(trained, st.adjacency.unmasked,
-                                                  g.features, g.labels,
-                                                  tm, global_p, cfg.fed.beta)
-                    trained, adam = gcn.adam_step(trained, grads, adam, cfg.model.lr)
-                st.trained = trained
-            global_p = _size_weighted_mean(states)
-        pretrained = global_p
-    else:
-        pretrained = init_params
+    pretrained = init_params
+    for _ in range(cfg.warmup.rounds):
+        for st in states:
+            st.params = pretrained
+            st.adam = gcn.init_adam(pretrained)
+            _train_epochs(st, cfg, METHODS["FedProx"], 0.0)
+        pretrained = _size_weighted_mean(states)
 
+    lam = ies.g_lambda(cfg.ies.zeta, cfg.rounds, 1)
     use_logits = cfg.ies.embeddings == "logits"
     for st in states:
-        st.mask = ies.warmup_mask(st.graph, pretrained, st.pacing, cfg.ies.gamma,
+        st.mask = ies.warmup_mask(st.graph, pretrained, lam, cfg.ies.gamma,
                                   cfg.ies.lr_train, cfg.warmup.steps,
                                   cfg.ies.init_value, use_logits)
         st.params = init_params.copy()
         st.trained = init_params.copy()
         st.adam = gcn.init_adam(st.params)
+    return pretrained
 
 
 def _write_matrix(path: str, mat: np.ndarray):
@@ -284,7 +282,7 @@ def _dump_reference_recon(out_dir: str, ref: server.ReferenceGraph, states: list
     use_logits = cfg.ies.embeddings == "logits"
     g = ref.graph
     for k, st in enumerate(states):
-        adj = ref.adjacency.normalized(ref.per_client_masks[k].weights)
+        adj = ref.adjacency.normalized(ref.per_client_masks[k])
         recon = ies.model_reconstruction(st.trained, adj, g, use_logits)
         _write_edge_weights(os.path.join(out_dir, f"refrecon_round_{t}_client_{k}.csv"),
                             g.edges, recon)
@@ -293,7 +291,7 @@ def _dump_reference_recon(out_dir: str, ref: server.ReferenceGraph, states: list
 def _dump_masks(out_dir: str, states: list, t: int):
     for k, st in enumerate(states):
         _write_edge_weights(os.path.join(out_dir, f"mask_round_{t}_client_{k}.csv"),
-                            st.mask.edges, st.mask.weights)
+                            st.graph.edges, st.mask)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
@@ -311,7 +309,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 
     init_p = gcn.init_params(g.d_x, cfg.model.hidden, g.num_classes,
                              mix_seed(cfg.seed, 0x1417))
-    pacing = ies.PacingSchedule(cfg.ies.zeta, max(cfg.rounds, 1))
     states = []
     for k, nodes in enumerate(part.client_node_lists):
         sub = graphs.induced_subgraph(g, nodes)
@@ -322,8 +319,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         states.append(ClientState(
             client_id=k, graph=sub, split=split,
             params=init_p.copy(), trained=init_p.copy(),
-            mask=ies.uniform_mask(sub, cfg.ies.init_value),
-            adam=gcn.init_adam(init_p), pacing=pacing, tau_state=tau0))
+            mask=np.full(sub.num_edges, float(cfg.ies.init_value)),
+            adam=gcn.init_adam(init_p), tau_state=tau0))
 
     method = METHODS[cfg.method]
     use_similarity = method.aggregation == "similarity"
@@ -333,8 +330,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     ref = None
     if use_similarity:
         ref_graph = _build_reference(cfg, g.d_x)
-        ref = server.ReferenceGraph.create(ref_graph, pacing, cfg.num_clients,
-                                           cfg.ies.init_value)
+        ref = server.ReferenceGraph.create(ref_graph, cfg.num_clients, cfg.ies.init_value)
 
     dump_rounds = set(cfg.effective_dump_rounds()) if out_dir else set()
     records = []
@@ -352,12 +348,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             for st in states:
                 st.params = st.trained.copy()
 
-        metrics = []
-        for st, loss, tau in zip(states, losses, taus):
-            accs = _evaluate(st, st.trained)
-            metrics.append({"client": st.client_id, "train_loss": loss,
-                            "train_acc": accs[graphs.TRAIN], "val_acc": accs[graphs.VAL],
-                            "test_acc": accs[graphs.TEST], "tau": tau})
+        metrics = [_client_metrics(st, st.trained, loss, tau)
+                   for st, loss, tau in zip(states, losses, taus)]
         prop = None
         if sim is not None and clusters is not None:
             prop = same_cluster_weight_proportion(sim, clusters)
@@ -379,15 +371,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                 if use_similarity:
                     _dump_reference_recon(out_dir, ref, states, t, cfg)
 
-    if records:
-        final = records[-1].client_metrics
-    else:
-        final = []
-        for st in states:
-            accs = _evaluate(st, st.params)
-            final.append({"client": st.client_id, "train_loss": None,
-                          "train_acc": accs[graphs.TRAIN], "val_acc": accs[graphs.VAL],
-                          "test_acc": accs[graphs.TEST], "tau": None})
+    final = (records[-1].client_metrics if records
+             else [_client_metrics(st, st.params, None, None) for st in states])
 
     def _stats(key):
         vals = np.array([m[key] for m in final], dtype=np.float64)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import networkx as nx
 import numpy as np
@@ -67,14 +67,21 @@ class Graph:
 
 @dataclass
 class NodeSplit:
-    """Per-node train/val/test tags."""
+    """Per-node train/val/test tags and their boolean masks, built once and read-only."""
 
     tags: list  # length num_nodes, entries in {"train","val","test"}
+    _masks: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._masks = {which: np.array([t == which for t in self.tags], dtype=bool)
+                       for which in _TAGS}
+        for m in self._masks.values():
+            m.flags.writeable = False
 
     def mask(self, which: str) -> np.ndarray:
         if which not in _TAGS:
             raise ValueError(f"unknown split tag {which!r}")
-        return np.array([t == which for t in self.tags], dtype=bool)
+        return self._masks[which]
 
 
 @dataclass

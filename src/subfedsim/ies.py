@@ -2,48 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import gcn
 from .graphs import Graph
 
 
-@dataclass
-class PacingSchedule:
-    zeta: float
-    rounds: int
-
-    def __post_init__(self):
-        if self.zeta <= 0:
-            raise ValueError("zeta must be positive")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-
-
-@dataclass
-class EdgeMask:
-    """Per-edge weights in [0,1], applied symmetrically to an undirected edge list."""
-
-    edges: np.ndarray       # (num_edges, 2) reference to the owning graph's edges
-    weights: np.ndarray     # (num_edges,) float64 in [0, 1]
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape[0] != self.edges.shape[0]:
-            raise ValueError("weights must align with the edge list")
-
-
-def uniform_mask(g: Graph, value: float = 0.5) -> EdgeMask:
-    return EdgeMask(g.edges, np.full(g.num_edges, float(value)))
-
-
-def g_lambda(sched: PacingSchedule, t: int) -> float:
-    """Curriculum threshold min(zeta*t/R, 1)."""
+def g_lambda(zeta: float, rounds: int, t: int) -> float:
+    """Curriculum threshold min(zeta*t/R, 1), with R = max(rounds, 1)."""
     if t < 0:
         raise ValueError("round index must be nonnegative")
-    return min(sched.zeta * t / sched.rounds, 1.0)
+    return min(zeta * t / max(rounds, 1), 1.0)
 
 
 _RECON_BLOCK = 256  # edges per gather; two (256, hidden) blocks stay in cache
@@ -72,37 +41,35 @@ def residuals(recon: np.ndarray) -> np.ndarray:
     return np.abs(1.0 - recon)
 
 
-def mask_objective(mask: EdgeMask, recon: np.ndarray, lam: float,
-                   gamma: float, anchor: EdgeMask) -> float:
+def mask_objective(mask: np.ndarray, recon: np.ndarray, lam: float,
+                   gamma: float, anchor: np.ndarray) -> float:
     """sum S*(r - lambda) + (gamma/2) * sum (S - anchor)^2."""
-    if recon.shape[0] != mask.weights.shape[0] or anchor.weights.shape[0] != mask.weights.shape[0]:
+    if recon.shape[0] != mask.shape[0] or anchor.shape[0] != mask.shape[0]:
         raise ValueError("mask, reconstruction and anchor must align")
     r = residuals(recon)
-    return float(np.sum(mask.weights * (r - lam))
-                 + 0.5 * gamma * np.sum((mask.weights - anchor.weights) ** 2))
+    return float(np.sum(mask * (r - lam)) + 0.5 * gamma * np.sum((mask - anchor) ** 2))
 
 
-def mask_step(mask: EdgeMask, recon: np.ndarray, lam: float, gamma: float,
-              anchor: EdgeMask, lr_mask: float, n_steps: int) -> EdgeMask:
-    """n_steps of clipped gradient descent on the mask objective."""
+def mask_step(mask: np.ndarray, recon: np.ndarray, lam: float, gamma: float,
+              anchor: np.ndarray, lr_mask: float, n_steps: int) -> np.ndarray:
+    """n_steps of clipped gradient descent on the mask objective; returns a new mask."""
     if lr_mask <= 0:
         raise ValueError("lr_mask must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     r_lam = residuals(recon)
     r_lam -= lam
-    a = anchor.weights
-    w = mask.weights.copy()
+    w = mask.copy()
     step = np.empty_like(w)
     for _ in range(n_steps):
-        # w <- clip(w - lr * ((r - lam) + gamma * (w - a)), 0, 1), in place
-        np.subtract(w, a, out=step)
+        # w <- clip(w - lr * ((r - lam) + gamma * (w - anchor)), 0, 1), in place
+        np.subtract(w, anchor, out=step)
         step *= gamma
         step += r_lam
         step *= lr_mask
         w -= step
         w.clip(0.0, 1.0, out=w)
-    return EdgeMask(mask.edges, w)
+    return w
 
 
 def model_reconstruction(params: gcn.GcnParams, norm_adj, g: Graph,
@@ -112,14 +79,13 @@ def model_reconstruction(params: gcn.GcnParams, norm_adj, g: Graph,
     return reconstruct(emb.H2 if use_logits else emb.H1, g.edges)
 
 
-def warmup_mask(g: Graph, pretrained: gcn.GcnParams, sched: PacingSchedule,
-                gamma: float, lr_mask: float, warm_steps: int,
-                init_value: float = 0.5, use_logits: bool = False) -> EdgeMask:
+def warmup_mask(g: Graph, pretrained: gcn.GcnParams, lam: float, gamma: float,
+                lr_mask: float, warm_steps: int, init_value: float = 0.5,
+                use_logits: bool = False) -> np.ndarray:
     """Initialize a uniform mask and pre-shape it with a pretrained model's reconstruction."""
-    mask = uniform_mask(g, init_value)
+    mask = np.full(g.num_edges, float(init_value))
     if warm_steps == 0:
         return mask
-    adj = gcn.normalize_masked_adjacency(g.edges, mask.weights, g.num_nodes)
+    adj = gcn.normalize_masked_adjacency(g.edges, mask, g.num_nodes)
     recon = model_reconstruction(pretrained, adj, g, use_logits)
-    lam = g_lambda(sched, 1)
     return mask_step(mask, recon, lam, gamma, mask, lr_mask, warm_steps)

@@ -16,22 +16,20 @@ class ReferenceGraph:
     """Shared random graph plus the per-client masks persisted across rounds."""
 
     graph: Graph
-    pacing: ies.PacingSchedule
-    per_client_masks: list = field(default_factory=list)  # K EdgeMasks
+    per_client_masks: list = field(default_factory=list)  # K weight arrays over graph.edges
     adjacency: gcn.Adjacency = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.adjacency = gcn.Adjacency(self.graph.edges, self.graph.num_nodes)
 
     @classmethod
-    def create(cls, graph: Graph, pacing: ies.PacingSchedule, num_clients: int,
-               init_value: float = 0.5) -> "ReferenceGraph":
-        masks = [ies.uniform_mask(graph, init_value) for _ in range(num_clients)]
-        return cls(graph=graph, pacing=pacing, per_client_masks=masks)
+    def create(cls, graph: Graph, num_clients: int, init_value: float = 0.5) -> "ReferenceGraph":
+        masks = [np.full(graph.num_edges, float(init_value)) for _ in range(num_clients)]
+        return cls(graph=graph, per_client_masks=masks)
 
 
-def ext_vectorize(mask: ies.EdgeMask, prune_frac: float) -> np.ndarray:
-    """Flatten mask weights and zero the lowest prune_frac fraction.
+def ext_vectorize(mask: np.ndarray, prune_frac: float) -> np.ndarray:
+    """Copy the mask weights and zero the lowest prune_frac fraction.
 
     Ties break toward lower edge index, as in a stable ascending sort: the
     k-th smallest value is selected, every smaller value is zeroed, then the
@@ -39,7 +37,7 @@ def ext_vectorize(mask: ies.EdgeMask, prune_frac: float) -> np.ndarray:
     """
     if not 0.0 <= prune_frac < 1.0:
         raise ValueError("prune_frac must lie in [0, 1)")
-    u = mask.weights.copy()
+    u = np.array(mask, dtype=np.float64)
     n = u.shape[0]
     finite = np.isfinite(u)
     if not finite.all():
@@ -55,7 +53,7 @@ def ext_vectorize(mask: ies.EdgeMask, prune_frac: float) -> np.ndarray:
 
 
 def build_indicator(ref: ReferenceGraph, client_params: gcn.GcnParams, client_id: int,
-                    round_t: int, gamma: float, lr_aggr: float, n_steps: int,
+                    lam: float, gamma: float, lr_aggr: float, n_steps: int,
                     prune_frac: float = 0.3, use_logits: bool = False) -> np.ndarray:
     """Optimize the client's reference mask with its current model, then ext-vectorize.
 
@@ -66,9 +64,8 @@ def build_indicator(ref: ReferenceGraph, client_params: gcn.GcnParams, client_id
         raise ValueError("client parameters do not match the reference graph features")
     mask = ref.per_client_masks[client_id]
     if n_steps > 0:
-        recon = ies.model_reconstruction(client_params, ref.adjacency.normalized(mask.weights),
+        recon = ies.model_reconstruction(client_params, ref.adjacency.normalized(mask),
                                          g, use_logits)
-        lam = ies.g_lambda(ref.pacing, round_t)
         mask = ies.mask_step(mask, recon, lam, gamma, mask, lr_aggr, n_steps)
         ref.per_client_masks[client_id] = mask
     return ext_vectorize(mask, prune_frac)

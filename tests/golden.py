@@ -1,0 +1,89 @@
+"""Golden digests: the sha256 of every byte-stable file of 30 short runs.
+
+    python3 tests/golden.py        # rewrites tests/golden.json
+
+The runs are the default config at 5 rounds for every method, the
+`bisection`, `louvain` and `overlap` partitions, and seeds 0 and 1.
+`test_golden.py` reruns them and compares each file with the recorded digest.
+Regenerate the file only for a change that is meant to alter run artifacts,
+and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import platform
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
+
+import networkx  # noqa: E402
+import numpy  # noqa: E402
+import scipy  # noqa: E402
+
+from subfedsim import config, experiment  # noqa: E402
+
+GOLDEN_PATH = os.path.join(ROOT, "tests", "golden.json")
+ROUNDS = 5
+RUNS = [(method, partition, seed)
+        for method in config.METHODS
+        for partition in ("bisection", "louvain", "overlap")
+        for seed in (0, 1)]
+# The README's byte-stable files; summary.json is hashed without these keys.
+STABLE_PREFIXES = ("similarity_round_", "alpha_round_", "tau_round_", "mask_round_",
+                   "refrecon_round_")
+VOLATILE_MANIFEST_KEYS = ("timestamp", "out_dir")
+
+
+def run_name(method: str, partition: str, seed: int) -> str:
+    return f"{method}-{partition}-seed{seed}"
+
+
+def fingerprint() -> dict:
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "networkx": networkx.__version__}
+
+
+def file_digest(path: str) -> str:
+    with open(path, "rb") as f:
+        data = f.read()
+    if os.path.basename(path) == "summary.json":
+        summary = json.loads(data)
+        for key in VOLATILE_MANIFEST_KEYS:
+            del summary["manifest"][key]
+        data = json.dumps(summary, sort_keys=True, indent=2).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_digests(method: str, partition: str, seed: int, out_dir: str) -> dict:
+    """Run one golden config into out_dir; return {file name: sha256}."""
+    cfg = config.ExperimentConfig(method=method, seed=seed, rounds=ROUNDS)
+    cfg.partition.kind = partition
+    experiment.run_experiment(cfg, out_dir=out_dir)
+    return {name: file_digest(os.path.join(out_dir, name))
+            for name in sorted(os.listdir(out_dir))
+            if name in ("metrics.csv", "summary.json") or name.startswith(STABLE_PREFIXES)}
+
+
+def main() -> int:
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for method, partition, seed in RUNS:
+            name = run_name(method, partition, seed)
+            runs[name] = run_digests(method, partition, seed, os.path.join(tmp, name))
+    with open(GOLDEN_PATH, "w", newline="\n") as f:
+        json.dump({"fingerprint": fingerprint(), "rounds": ROUNDS, "runs": runs}, f,
+                  indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {len(runs)} runs to {GOLDEN_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -157,6 +157,23 @@ class TestRun:
         ("ies.steps=0", "ies.steps"),
         ("warmup.steps=-1", "warmup.steps"),
         ("warmup.rounds=-1", "warmup.rounds"),
+        ("model.hidden=0", "model.hidden"),
+        ("dataset.dx=0", "dataset.dx"),
+        ("dataset.num_classes=0", "dataset.num_classes"),
+        ("dataset.blocks=0", "dataset.blocks"),
+        ("dataset.block_size=0", "dataset.block_size"),
+        ("dataset.n=0", "dataset.n"),
+        ("dataset.m=0", "dataset.m"),
+        ("reference.blocks=0", "reference.blocks"),
+        ("reference.block_size=0", "reference.block_size"),
+        ("reference.n=0", "reference.n"),
+        ("reference.m=0", "reference.m"),
+        ("partition.base_parts=0", "partition.base_parts"),
+        ("partition.copies_per_part=0", "partition.copies_per_part"),
+        ("partition.frac=0", "partition.frac"),
+        ("partition.frac=1.5", "partition.frac"),
+        ("ies.zeta=0", "ies.zeta"),
+        ("ies.zeta=-1.5", "ies.zeta"),
     ])
     def test_wrong_typed_override_errors(self, tmp_path, capsys, override, key):
         cfg = write_cfg(tmp_path)

@@ -22,17 +22,16 @@ def tiny_cfg(**kw):
     return cfg
 
 
-def make_state(k, cfg, seed=0, params=None):
-    g = graphs.generate_sbm(2, 15, 0.3, 0.1, cfg.dataset.dx, 2,
+def make_state(k, cfg, seed=0, params=None, block_size=15):
+    g = graphs.generate_sbm(2, block_size, 0.3, 0.1, cfg.dataset.dx, 2,
                             np.random.default_rng(seed + k))
     split = graphs.make_splits(g, cfg.split_ratios, seed + 100 + k)
     p = params if params is not None else gcn.init_params(
         cfg.dataset.dx, cfg.model.hidden, 2, seed=seed + 200 + k)
-    pacing = ies.PacingSchedule(cfg.ies.zeta, cfg.rounds)
     return experiment.ClientState(
         client_id=k, graph=g, split=split, params=p.copy(), trained=p.copy(),
-        mask=ies.uniform_mask(g, cfg.ies.init_value), adam=gcn.init_adam(p),
-        pacing=pacing, tau_state=server.TauState())
+        mask=np.full(g.num_edges, cfg.ies.init_value), adam=gcn.init_adam(p),
+        tau_state=server.TauState())
 
 
 class TestMixSeed:
@@ -127,15 +126,61 @@ class TestWarmup:
         states = [make_state(k, cfg) for k in range(2)]
         experiment.warmup(states, cfg, init)
         for st in states:
-            assert not np.all(st.mask.weights == cfg.ies.init_value)
-            assert np.all((st.mask.weights >= 0) & (st.mask.weights <= 1))
+            assert not np.all(st.mask == cfg.ies.init_value)
+            assert np.all((st.mask >= 0) & (st.mask <= 1))
 
     def test_no_rounds_no_steps_keeps_uniform(self):
         cfg = tiny_cfg(warmup=config.WarmupSpec(rounds=0, steps=0))
         init = gcn.init_params(cfg.dataset.dx, cfg.model.hidden, 2, seed=9)
         states = [make_state(0, cfg)]
         experiment.warmup(states, cfg, init)
-        assert np.all(states[0].mask.weights == cfg.ies.init_value)
+        assert np.all(states[0].mask == cfg.ies.init_value)
+
+
+def reference_warmup(states, cfg, init_params):
+    """The hand-written FedProx loop `warmup` ran before it shared the round's epoch loop."""
+    if cfg.warmup.rounds > 0:
+        global_p = init_params.copy()
+        for _ in range(cfg.warmup.rounds):
+            for st in states:
+                trained = global_p.copy()
+                adam = gcn.init_adam(trained)
+                g = st.graph
+                tm = st.split.mask(graphs.TRAIN)
+                for _ in range(cfg.epochs):
+                    _, grads = gcn.loss_and_grads(trained, st.adjacency.unmasked,
+                                                  g.features, g.labels,
+                                                  tm, global_p, cfg.fed.beta)
+                    trained, adam = gcn.adam_step(trained, grads, adam, cfg.model.lr)
+                st.trained = trained
+            global_p = experiment._size_weighted_mean(states)
+        pretrained = global_p
+    else:
+        pretrained = init_params
+    lam = ies.g_lambda(cfg.ies.zeta, cfg.rounds, 1)
+    for st in states:
+        st.mask = ies.warmup_mask(st.graph, pretrained, lam, cfg.ies.gamma,
+                                  cfg.ies.lr_train, cfg.warmup.steps,
+                                  cfg.ies.init_value, cfg.ies.embeddings == "logits")
+    return pretrained
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 3])
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_warmup_matches_reference_bytes(rounds, epochs):
+    cfg = tiny_cfg(epochs=epochs, warmup=config.WarmupSpec(rounds=rounds, steps=5))
+    init = gcn.init_params(cfg.dataset.dx, cfg.model.hidden, 2, seed=9)
+    # clients of different sizes, so the size-weighted mean is not a plain mean
+    got = [make_state(0, cfg), make_state(1, cfg, block_size=25)]
+    want = [make_state(0, cfg), make_state(1, cfg, block_size=25)]
+    pretrained = experiment.warmup(got, cfg, init)
+    ref_pretrained = reference_warmup(want, cfg, init)
+    assert pretrained.flat.tobytes() == ref_pretrained.flat.tobytes()
+    for a, b in zip(got, want):
+        assert a.mask.tobytes() == b.mask.tobytes()
+        assert a.params.flat.tobytes() == init.flat.tobytes()
+        assert a.trained.flat.tobytes() == init.flat.tobytes()
+        assert a.adam.step == 0 and not a.adam.m.flat.any() and not a.adam.v.flat.any()
 
 
 class TestLocalStage:
@@ -160,12 +205,12 @@ class TestLocalStage:
         cfg = tiny_cfg()
         st = make_state(0, cfg)
         ref = make_state(0, cfg)
-        lams = [ies.g_lambda(st.pacing, t) for t in (1, 2, 3)]
+        lams = [ies.g_lambda(cfg.ies.zeta, cfg.rounds, t) for t in (1, 2, 3)]
         assert lams[0] < lams[1]  # the rounds below see different thresholds
         for t, lam in zip((1, 2, 3), lams):
             experiment.local_training_stage(st, t, cfg, config.METHODS["CUFL"])
             # the same round by hand: one epoch, then a mask step at g_lambda(t)
-            adj = ref.adjacency.normalized(ref.mask.weights)
+            adj = ref.adjacency.normalized(ref.mask)
             _, grads = gcn.loss_and_grads(ref.params, adj, ref.graph.features,
                                           ref.graph.labels, ref.split.mask(graphs.TRAIN),
                                           ref.params.copy(), cfg.fed.beta)
@@ -173,23 +218,22 @@ class TestLocalStage:
             recon = ies.model_reconstruction(ref.trained, adj, ref.graph)
             ref.mask = ies.mask_step(ref.mask, recon, lam, cfg.ies.gamma, ref.mask,
                                      cfg.ies.lr_train, cfg.ies.steps)
-            assert st.mask.weights.tobytes() == ref.mask.weights.tobytes(), t
+            assert st.mask.tobytes() == ref.mask.tobytes(), t
             assert st.trained.flat.tobytes() == ref.trained.flat.tobytes(), t
             st.params, ref.params = st.trained.copy(), ref.trained.copy()
 
     def test_mask_untouched_without_use_mask(self):
         cfg = tiny_cfg()
         st = make_state(0, cfg)
-        before = st.mask.weights.copy()
+        before = st.mask.copy()
         experiment.local_training_stage(st, 1, cfg, config.METHODS["FedAvg"])
-        assert np.array_equal(st.mask.weights, before)
+        assert np.array_equal(st.mask, before)
 
 
 class TestServerStage:
     def build_ref(self, cfg, K):
         g = experiment._build_reference(cfg, cfg.dataset.dx)
-        pacing = ies.PacingSchedule(cfg.ies.zeta, cfg.rounds)
-        return server.ReferenceGraph.create(g, pacing, K, cfg.ies.init_value)
+        return server.ReferenceGraph.create(g, K, cfg.ies.init_value)
 
     def test_single_client_keeps_own_params(self):
         cfg = tiny_cfg(num_clients=1)

@@ -1,0 +1,32 @@
+"""Every byte-stable file of 30 short runs matches the digest in golden.json."""
+
+import json
+
+import pytest
+
+import golden
+
+with open(golden.GOLDEN_PATH) as _f:
+    GOLDEN = json.load(_f)
+
+
+def test_golden_covers_every_run():
+    assert GOLDEN["rounds"] == golden.ROUNDS
+    assert sorted(GOLDEN["runs"]) == sorted(golden.run_name(*r) for r in golden.RUNS)
+
+
+@pytest.mark.parametrize("method, partition, seed", golden.RUNS,
+                         ids=[golden.run_name(*r) for r in golden.RUNS])
+def test_run_matches_golden(tmp_path, method, partition, seed):
+    name = golden.run_name(method, partition, seed)
+    want = GOLDEN["runs"][name]
+    got = golden.run_digests(method, partition, seed, str(tmp_path / name))
+    env = golden.fingerprint()
+    drift = {k: f"{GOLDEN['fingerprint'][k]} -> {v}"
+             for k, v in env.items() if GOLDEN["fingerprint"][k] != v}
+    note = (f"versions differ from golden.json: {drift}" if drift
+            else "versions match golden.json")
+    assert sorted(got) == sorted(want), \
+        f"{name}: files {sorted(set(got) ^ set(want))} differ in presence; {note}"
+    bad = [f for f in want if got[f] != want[f]]
+    assert not bad, f"{name}: {bad} differ from golden.json; {note}"

@@ -244,6 +244,19 @@ class TestSplits:
             split = graphs.make_splits(g, (2, 4, 4), seed=0)
         assert split.tags[3] == "train"
 
+    def test_masks_match_tags_and_are_read_only(self):
+        g = graphs.generate_er(57, 0.1, 2, 3, seed=2)
+        split = graphs.make_splits(g, (2, 4, 4), seed=2)
+        for which in (graphs.TRAIN, graphs.VAL, graphs.TEST):
+            m = split.mask(which)
+            assert m.dtype == bool
+            assert np.array_equal(m, np.array([t == which for t in split.tags]))
+            assert split.mask(which) is m  # built once
+            with pytest.raises(ValueError, match="read-only"):
+                m[0] = not m[0]
+        with pytest.raises(ValueError, match="unknown split tag"):
+            split.mask("holdout")
+
 
 class TestGraphDir:
     def test_round_trip_identity(self, tmp_path):

@@ -14,29 +14,20 @@ def line_graph(n=4, d=3, seed=0):
 
 class TestPacing:
     def test_zero_round(self):
-        sched = ies.PacingSchedule(1.5, 100)
-        assert ies.g_lambda(sched, 0) == 0.0
+        assert ies.g_lambda(1.5, 100, 0) == 0.0
 
     def test_midpoint(self):
-        assert ies.g_lambda(ies.PacingSchedule(1.5, 100), 50) == 0.75
+        assert ies.g_lambda(1.5, 100, 50) == 0.75
 
     def test_clipped_at_one(self):
-        sched = ies.PacingSchedule(1.5, 100)
-        assert ies.g_lambda(sched, 100) == 1.0
+        assert ies.g_lambda(1.5, 100, 100) == 1.0
         for t in range(67, 120):
-            assert ies.g_lambda(sched, t) == 1.0
-        assert ies.g_lambda(sched, 66) < 1.0
+            assert ies.g_lambda(1.5, 100, t) == 1.0
+        assert ies.g_lambda(1.5, 100, 66) < 1.0
 
     def test_monotone(self):
-        sched = ies.PacingSchedule(0.7, 40)
-        vals = [ies.g_lambda(sched, t) for t in range(100)]
+        vals = [ies.g_lambda(0.7, 40, t) for t in range(100)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-    def test_invalid_schedule(self):
-        with pytest.raises(ValueError):
-            ies.PacingSchedule(0.0, 10)
-        with pytest.raises(ValueError):
-            ies.PacingSchedule(1.0, 0)
 
 
 class TestReconstruct:
@@ -109,106 +100,90 @@ def test_model_reconstruction_is_forward_then_reconstruct(use_logits):
 
 
 class TestObjective:
-    def edges(self, k):
-        return np.array([(i, i + 1) for i in range(k)])
-
     def test_zero_mask_zero_objective(self):
-        e = self.edges(3)
-        mask = ies.EdgeMask(e, np.zeros(3))
-        anchor = ies.EdgeMask(e, np.zeros(3))
+        mask = np.zeros(3)
+        anchor = np.zeros(3)
         assert ies.mask_objective(mask, np.full(3, 0.2), 0.5, 1.0, anchor) == 0.0
 
     def test_single_edge_value(self):
-        e = self.edges(1)
-        mask = ies.EdgeMask(e, np.ones(1))
-        anchor = ies.EdgeMask(e, np.zeros(1))
+        mask = np.ones(1)
+        anchor = np.zeros(1)
         # r = |1 - 0.8| = 0.2; S*(r - 0.5) = -0.3
         val = ies.mask_objective(mask, np.array([0.8]), 0.5, 0.0, anchor)
         assert val == pytest.approx(-0.3, abs=1e-15)
 
     def test_anchor_equal_kills_proximal(self):
-        e = self.edges(2)
         w = np.array([0.3, 0.9])
-        mask = ies.EdgeMask(e, w)
-        anchor = ies.EdgeMask(e, w.copy())
+        mask = w
+        anchor = w.copy()
         a = ies.mask_objective(mask, np.zeros(2), 0.1, 0.0, anchor)
         b = ies.mask_objective(mask, np.zeros(2), 0.1, 100.0, anchor)
         assert a == pytest.approx(b, abs=1e-15)
 
     def test_misaligned_lists(self):
-        e = self.edges(2)
-        mask = ies.EdgeMask(e, np.zeros(2))
-        anchor = ies.EdgeMask(e, np.zeros(2))
+        mask = np.zeros(2)
+        anchor = np.zeros(2)
         with pytest.raises(ValueError):
             ies.mask_objective(mask, np.zeros(3), 0.1, 0.0, anchor)
 
 
 class TestMaskStep:
-    def edges(self, k):
-        return np.array([(i, i + 1) for i in range(k)])
-
     def test_zero_gradient_fixed_point(self):
-        e = self.edges(1)
-        mask = ies.EdgeMask(e, np.array([0.4]))
-        anchor = ies.EdgeMask(e, np.array([0.4]))
+        mask = np.array([0.4])
+        anchor = np.array([0.4])
         out = ies.mask_step(mask, np.array([0.5]), 0.5, 0.7, anchor, 0.1, 5)
-        assert out.weights[0] == pytest.approx(0.4)
+        assert out[0] == pytest.approx(0.4)
 
     def test_single_step_delta(self):
-        e = self.edges(1)
-        mask = ies.EdgeMask(e, np.array([0.5]))
-        anchor = ies.EdgeMask(e, np.array([0.5]))
+        mask = np.array([0.5])
+        anchor = np.array([0.5])
         out = ies.mask_step(mask, np.array([0.8]), 0.5, 0.0, anchor, 0.1, 1)
-        assert out.weights[0] == pytest.approx(0.53, abs=1e-15)
+        assert out[0] == pytest.approx(0.53, abs=1e-15)
 
     def test_clip_at_one(self):
-        e = self.edges(1)
-        mask = ies.EdgeMask(e, np.array([0.99]))
-        anchor = ies.EdgeMask(e, np.array([0.99]))
+        mask = np.array([0.99])
+        anchor = np.array([0.99])
         out = ies.mask_step(mask, np.array([1.0]), 1.0, 0.0, anchor, 0.5, 3)
-        assert out.weights[0] == 1.0
+        assert out[0] == 1.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        e = self.edges(6)
         w = rng.random(6)
         recon = rng.uniform(-1, 1, 6)
-        anchor = ies.EdgeMask(e, rng.random(6))
+        anchor = rng.random(6)
         lam, gamma = 0.4, 0.3
         lr = 1e-3
-        out = ies.mask_step(ies.EdgeMask(e, w.copy()), recon, lam, gamma, anchor,
+        out = ies.mask_step(w.copy(), recon, lam, gamma, anchor,
                             lr, 1)
-        step = (w - out.weights) / lr  # realized gradient (no clipping hit)
+        step = (w - out) / lr  # realized gradient (no clipping hit)
         h = 1e-6
         for i in range(6):
             wp, wm = w.copy(), w.copy()
             wp[i] += h
             wm[i] -= h
-            fp = ies.mask_objective(ies.EdgeMask(e, wp), recon, lam, gamma, anchor)
-            fm = ies.mask_objective(ies.EdgeMask(e, wm), recon, lam, gamma, anchor)
+            fp = ies.mask_objective(wp, recon, lam, gamma, anchor)
+            fm = ies.mask_objective(wm, recon, lam, gamma, anchor)
             fd = (fp - fm) / (2 * h)
             assert abs(step[i] - fd) / max(abs(fd), 1e-9) < 1e-6
 
     def test_curriculum_ordering(self):
         # easier edge (smaller residual) never falls behind under identical steps
-        e = self.edges(2)
         lam = 0.6
         recon = np.array([1.0 - 0.1, 1.0 - 0.5])  # residuals 0.1 < 0.5 <= lam
-        mask = ies.EdgeMask(e, np.array([0.5, 0.5]))
-        anchor = ies.EdgeMask(e, np.array([0.5, 0.5]))
+        mask = np.array([0.5, 0.5])
+        anchor = np.array([0.5, 0.5])
         for steps in (1, 5, 50):
             out = ies.mask_step(mask, recon, lam, 0.001, anchor, 0.01, steps)
-            assert out.weights[0] >= out.weights[1]
+            assert out[0] >= out[1]
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=20),
            st.floats(-1, 1), st.floats(0, 1), st.integers(1, 20))
     def test_clip_safety(self, ws, recon_w, lam, steps):
-        e = np.array([(i, i + 1) for i in range(len(ws))])
-        mask = ies.EdgeMask(e, np.array(ws))
-        anchor = ies.EdgeMask(e, np.array(ws))
+        mask = np.array(ws)
+        anchor = np.array(ws)
         out = ies.mask_step(mask, np.full(len(ws), recon_w), lam, 0.001, anchor,
                             0.5, steps)
-        assert np.all(out.weights >= 0.0) and np.all(out.weights <= 1.0)
+        assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
 class TestApplyMask:
@@ -216,24 +191,24 @@ class TestApplyMask:
 
     def test_all_ones_identity(self):
         g = line_graph()
-        mask = ies.uniform_mask(g, 1.0)
-        adj = gcn.normalize_masked_adjacency(g.edges, mask.weights, g.num_nodes)
+        mask = np.full(g.num_edges, 1.0)
+        adj = gcn.normalize_masked_adjacency(g.edges, mask, g.num_nodes)
         plain = gcn.normalize_masked_adjacency(g.edges, np.ones(g.num_edges), g.num_nodes)
         assert np.array_equal(adj.toarray(), plain.toarray())
 
     def test_zero_mask_edgeless(self):
         g = line_graph()
-        mask = ies.uniform_mask(g, 0.0)
-        adj = gcn.normalize_masked_adjacency(g.edges, mask.weights, g.num_nodes)
+        mask = np.full(g.num_edges, 0.0)
+        adj = gcn.normalize_masked_adjacency(g.edges, mask, g.num_nodes)
         assert np.allclose(adj.toarray(), np.eye(g.num_nodes))
 
     def test_mixed_mask_matches_dense_oracle(self):
         g = line_graph(n=5, seed=2)
         rng = np.random.default_rng(1)
-        mask = ies.EdgeMask(g.edges, rng.random(g.num_edges))
-        adj = gcn.normalize_masked_adjacency(g.edges, mask.weights, g.num_nodes)
+        mask = rng.random(g.num_edges)
+        adj = gcn.normalize_masked_adjacency(g.edges, mask, g.num_nodes)
         A = np.eye(5)
-        for (u, v), w in zip(g.edges, mask.weights):
+        for (u, v), w in zip(g.edges, mask):
             A[u, v] = A[v, u] = w
         d = A.sum(axis=1)
         expect = A / np.sqrt(np.outer(d, d))
@@ -242,18 +217,18 @@ class TestApplyMask:
     def test_foreign_mask_rejected(self):
         g = line_graph()
         other = line_graph(n=7)
-        mask = ies.uniform_mask(other, 0.5)
+        mask = np.full(other.num_edges, 0.5)
         with pytest.raises(ValueError, match="align"):
-            gcn.normalize_masked_adjacency(g.edges, mask.weights, g.num_nodes)
+            gcn.normalize_masked_adjacency(g.edges, mask, g.num_nodes)
 
 
 class TestWarmupMask:
     def test_zero_steps_uniform(self):
         g = line_graph()
         params = gcn.init_params(3, 4, 2, seed=0)
-        sched = ies.PacingSchedule(1.5, 100)
-        mask = ies.warmup_mask(g, params, sched, 0.001, 0.0005, 0, init_value=0.25)
-        assert np.all(mask.weights == 0.25)
+        lam = ies.g_lambda(1.5, 100, 1)
+        mask = ies.warmup_mask(g, params, lam, 0.001, 0.0005, 0, init_value=0.25)
+        assert np.all(mask == 0.25)
 
     def test_perfect_reconstruction_grows_weights(self):
         # duplicated-feature nodes with identity-ish first layer give cos = 1
@@ -261,16 +236,15 @@ class TestWarmupMask:
         g.features[:] = np.array([1.0, 1.0, 1.0])
         params = gcn.GcnParams(W1=np.eye(3), b1=np.zeros(3),
                                W2=np.zeros((3, 2)), b2=np.zeros(2))
-        sched = ies.PacingSchedule(1.5, 100)
-        mask = ies.warmup_mask(g, params, sched, 0.0, 0.01, 5, init_value=0.5)
-        assert np.all(mask.weights > 0.5)
+        lam = ies.g_lambda(1.5, 100, 1)
+        mask = ies.warmup_mask(g, params, lam, 0.0, 0.01, 5, init_value=0.5)
+        assert np.all(mask > 0.5)
 
     def test_single_step_arithmetic(self):
         # residual 1.5 at lambda = g(1) = 0.015 with lr 0.0005 drops 0.0007425
-        e = np.array([(0, 1)])
-        mask = ies.EdgeMask(e, np.array([0.5]))
+        mask = np.array([0.5])
         out = ies.mask_step(mask, np.array([-0.5]), 0.015, 0.001, mask, 0.0005, 1)
-        assert out.weights[0] == pytest.approx(0.4992575, abs=1e-12)
+        assert out[0] == pytest.approx(0.4992575, abs=1e-12)
 
 
 def reference_mask_step(weights, recon, lam, gamma, anchor_weights, lr_mask, n_steps):
@@ -288,15 +262,14 @@ def reference_mask_step(weights, recon, lam, gamma, anchor_weights, lr_mask, n_s
 @pytest.mark.parametrize("lr_mask", [1e-5, 0.0005, 0.5])
 def test_mask_step_matches_reference_bytes(n, anchor_is_mask, lr_mask):
     rng = np.random.default_rng(n)
-    e = np.zeros((n, 2), dtype=np.int64)
     for ws in (rng.random(n), rng.integers(0, 4, size=n) / 4.0,
                rng.choice([0.0, -0.0, 5e-324, 0.5, 1.0], size=n)):
         recon = rng.uniform(-1, 1, n)
         recon[rng.random(n) < 0.2] = 1.0
-        mask = ies.EdgeMask(e, ws.copy())
-        anchor = mask if anchor_is_mask else ies.EdgeMask(e, rng.random(n))
+        mask = ws.copy()
+        anchor = mask if anchor_is_mask else rng.random(n)
         for lam, gamma, steps in ((0.0, 0.001, 1), (0.3, 0.001, 10), (1.0, 0.0, 3)):
             got = ies.mask_step(mask, recon, lam, gamma, anchor, lr_mask, steps)
-            want = reference_mask_step(ws, recon, lam, gamma, anchor.weights, lr_mask, steps)
-            assert got.weights.tobytes() == want.tobytes()
-            assert mask.weights.tobytes() == ws.tobytes()  # the input is not written
+            want = reference_mask_step(ws, recon, lam, gamma, anchor, lr_mask, steps)
+            assert got.tobytes() == want.tobytes()
+            assert mask.tobytes() == ws.tobytes()  # the input is not written

@@ -8,15 +8,17 @@ from subfedsim import gcn, graphs, ies, server
 def small_ref(num_clients=3, seed=0):
     g = graphs.generate_sbm(2, 10, 0.5, 0.1, 6, 2,
                             np.random.default_rng(seed))
-    sched = ies.PacingSchedule(1.5, 50)
-    return server.ReferenceGraph.create(g, sched, num_clients)
+    return server.ReferenceGraph.create(g, num_clients)
+
+
+def lam(t):
+    """The pacing threshold of round t in a 50-round run at zeta = 1.5."""
+    return ies.g_lambda(1.5, 50, t)
 
 
 class TestExtVectorize:
     def mask(self, ws):
-        ws = np.asarray(ws, dtype=float)
-        e = np.array([(i, i + 1) for i in range(len(ws))])
-        return ies.EdgeMask(e, ws)
+        return np.asarray(ws, dtype=float)
 
     def test_prune_count_ten_edges(self):
         ws = np.linspace(0.1, 1.0, 10)
@@ -90,8 +92,7 @@ def pruning_cases(n, seed):
 @pytest.mark.parametrize("frac", [0.0, 0.3, 0.5, 0.99])
 def test_ext_vectorize_matches_argsort_reference_bytes(n, frac):
     for ws in pruning_cases(n, seed=n):
-        e = np.zeros((n, 2), dtype=np.int64)
-        got = server.ext_vectorize(ies.EdgeMask(e, ws.copy()), frac)
+        got = server.ext_vectorize(ws.copy(), frac)
         want = reference_ext_vectorize(ws, frac)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -201,7 +202,7 @@ class TestBuildIndicator:
         ref = small_ref()
         d = ref.graph.features.shape[1]
         params = gcn.init_params(d, 8, 2, seed=0)
-        vec = server.build_indicator(ref, params, 0, 1, 0.001, 1e-5, 10)
+        vec = server.build_indicator(ref, params, 0, lam(1), 0.001, 1e-5, 10)
         E = ref.graph.num_edges
         assert vec.shape == (E,)
         assert int((vec == 0.0).sum()) >= int(np.floor(0.3 * E))
@@ -210,12 +211,12 @@ class TestBuildIndicator:
         ref = small_ref()
         d = ref.graph.features.shape[1]
         params = gcn.init_params(d, 8, 2, seed=1)
-        before = ref.per_client_masks[1].weights.copy()
-        server.build_indicator(ref, params, 1, 1, 0.001, 0.01, 10)
-        after = ref.per_client_masks[1].weights
+        before = ref.per_client_masks[1].copy()
+        server.build_indicator(ref, params, 1, lam(1), 0.001, 0.01, 10)
+        after = ref.per_client_masks[1]
         assert not np.array_equal(before, after)
         # other clients untouched
-        assert np.all(ref.per_client_masks[0].weights == 0.5)
+        assert np.all(ref.per_client_masks[0] == 0.5)
 
     def test_deterministic(self):
         out = []
@@ -223,21 +224,21 @@ class TestBuildIndicator:
             ref = small_ref(seed=2)
             d = ref.graph.features.shape[1]
             params = gcn.init_params(d, 8, 2, seed=3)
-            out.append(server.build_indicator(ref, params, 0, 2, 0.001, 1e-5, 10))
+            out.append(server.build_indicator(ref, params, 0, lam(2), 0.001, 1e-5, 10))
         assert np.array_equal(out[0], out[1])
 
     def test_zero_steps_keeps_mask(self):
         ref = small_ref()
         d = ref.graph.features.shape[1]
         params = gcn.init_params(d, 8, 2, seed=0)
-        server.build_indicator(ref, params, 0, 1, 0.001, 1e-5, 0)
-        assert np.all(ref.per_client_masks[0].weights == 0.5)
+        server.build_indicator(ref, params, 0, lam(1), 0.001, 1e-5, 0)
+        assert np.all(ref.per_client_masks[0] == 0.5)
 
     def test_feature_mismatch_rejected(self):
         ref = small_ref()
         bad = gcn.init_params(ref.graph.features.shape[1] + 1, 8, 2, seed=0)
         with pytest.raises(ValueError):
-            server.build_indicator(ref, bad, 0, 1, 0.001, 1e-5, 10)
+            server.build_indicator(ref, bad, 0, lam(1), 0.001, 1e-5, 10)
 
 
 class TestTauSchedule:
