@@ -135,7 +135,11 @@ class ExperimentConfig:
                 raise ConfigError(f"config key {key!r} must be one of {choices}, "
                                   f"got {value(key)!r}")
         method = METHODS[self.method]
-        lower_bounds = [("rounds", 0), ("warmup.rounds", 0), ("warmup.steps", 0)]
+        lower_bounds = [(key, 0) for key in (
+            "rounds", "warmup.rounds", "warmup.steps", "ies.gamma", "fed.beta", "fed.tau_init",
+            "fed.tau_min", "fed.tau_max", "fed.tau_patience")]
+        if not isinstance(self.fed.tau, str):
+            lower_bounds.append(("fed.tau", 0))
         lower_bounds += [(key, 1) for key in (
             "epochs", "num_clients", "fed.tau_update_interval", "model.hidden", "dataset.dx",
             "dataset.num_classes", "partition.base_parts", "partition.copies_per_part",
@@ -146,9 +150,20 @@ class ExperimentConfig:
         for key, low in lower_bounds:
             if value(key) < low:
                 raise ConfigError(f"config key {key!r} must be >= {low}, got {value(key)}")
-        for key in ("model.lr", "ies.lr_train", "ies.lr_aggr", "ies.zeta"):
+        for key in ("model.lr", "ies.lr_train", "ies.lr_aggr", "ies.zeta", "fed.tau_rho"):
             if value(key) <= 0:
                 raise ConfigError(f"config key {key!r} must be positive")
+        for key in ("ies.init_value", "dataset.p_in", "dataset.p_cross", "dataset.p",
+                    "reference.p_in", "reference.p_cross", "reference.p"):
+            if not 0.0 <= value(key) <= 1.0:
+                raise ConfigError(f"config key {key!r} must lie in [0, 1], got {value(key)}")
+        if self.fed.tau_min > self.fed.tau_max:
+            raise ConfigError(f"config key 'fed.tau_min' must be <= fed.tau_max="
+                              f"{self.fed.tau_max}, got {self.fed.tau_min}")
+        r = self.split_ratios
+        if len(r) != 3 or min(r) < 0 or r[0] <= 0:
+            raise ConfigError("config key 'split_ratios' must be three numbers >= 0 with "
+                              f"a positive first (train) entry, got {list(r)}")
         if self.dump_rounds is not None:
             bad = [t for t in self.dump_rounds if not 1 <= t <= self.rounds]
             if bad:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -270,28 +272,35 @@ def _write_matrix(path: str, mat: np.ndarray):
         f.write("".join(",".join(map(repr, row)) + "\n" for row in mat.tolist()))
 
 
-def _write_edge_weights(path: str, edges: np.ndarray, weights: np.ndarray):
+def _edge_rows(edges: np.ndarray) -> list:
+    """The `u,v,` prefix of each edge-weight row, reusable for every file on these edges."""
+    return [f"{u},{v}," for u, v in edges.tolist()]
+
+
+def _write_edge_weights(path: str, rows: list, weights: np.ndarray):
+    # repr of a Python float is `_fmt`'s shortest round-trip decimal
+    lines = map(operator.add, rows, map(repr, weights.tolist()))
     with open(path, "w", newline="\n") as f:
-        f.write("u,v,weight\n")
-        # repr of a Python float is `_fmt`'s shortest round-trip decimal
-        f.writelines(f"{u},{v},{w!r}\n" for (u, v), w in zip(edges.tolist(), weights.tolist()))
+        # header, rows and final newline in one join: the text is built once, not copied
+        f.write("\n".join(itertools.chain(("u,v,weight",), lines, ("",))))
 
 
 def _dump_reference_recon(out_dir: str, ref: server.ReferenceGraph, states: list,
                           t: int, cfg: ExperimentConfig):
     use_logits = cfg.ies.embeddings == "logits"
     g = ref.graph
+    rows = _edge_rows(g.edges)  # every client reconstructs the same reference edges
     for k, st in enumerate(states):
         adj = ref.adjacency.normalized(ref.per_client_masks[k])
         recon = ies.model_reconstruction(st.trained, adj, g, use_logits)
         _write_edge_weights(os.path.join(out_dir, f"refrecon_round_{t}_client_{k}.csv"),
-                            g.edges, recon)
+                            rows, recon)
 
 
 def _dump_masks(out_dir: str, states: list, t: int):
     for k, st in enumerate(states):
         _write_edge_weights(os.path.join(out_dir, f"mask_round_{t}_client_{k}.csv"),
-                            st.graph.edges, st.mask)
+                            _edge_rows(st.graph.edges), st.mask)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,

@@ -174,6 +174,25 @@ class TestRun:
         ("partition.frac=1.5", "partition.frac"),
         ("ies.zeta=0", "ies.zeta"),
         ("ies.zeta=-1.5", "ies.zeta"),
+        ("ies.init_value=3", "ies.init_value"),
+        ("ies.init_value=-1", "ies.init_value"),
+        ("dataset.p_in=1.5", "dataset.p_in"),
+        ("dataset.p_cross=-0.1", "dataset.p_cross"),
+        ("dataset.p=2", "dataset.p"),
+        ("reference.p_in=2", "reference.p_in"),
+        ("reference.p_cross=-1", "reference.p_cross"),
+        ("reference.p=1.5", "reference.p"),
+        ("split_ratios=[0,1,1]", "split_ratios"),
+        ("split_ratios=[1,1]", "split_ratios"),
+        ("split_ratios=[1,-1,1]", "split_ratios"),
+        ("fed.beta=-5", "fed.beta"),
+        ("ies.gamma=-1", "ies.gamma"),
+        ("fed.tau=-5", "fed.tau"),
+        ("fed.tau_init=-1", "fed.tau_init"),
+        ("fed.tau_min=20", "fed.tau_min"),
+        ("fed.tau_max=-1", "fed.tau_max"),
+        ("fed.tau_rho=0", "fed.tau_rho"),
+        ("fed.tau_patience=-1", "fed.tau_patience"),
     ])
     def test_wrong_typed_override_errors(self, tmp_path, capsys, override, key):
         cfg = write_cfg(tmp_path)

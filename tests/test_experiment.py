@@ -437,9 +437,43 @@ def test_edge_weight_writer_matches_fmt_reference(tmp_path, num_edges):
     weights = rng.random(num_edges)
     special = [0.0, 1.0, 1e-300, 5e-324, -0.0, 1 / 3, 1e16]
     weights[:len(special)] = special[:num_edges]
-    experiment._write_edge_weights(str(tmp_path / "new.csv"), edges, weights)
+    experiment._write_edge_weights(str(tmp_path / "new.csv"), experiment._edge_rows(edges),
+                                   weights)
     reference_write_edge_weights(str(tmp_path / "ref.csv"), edges, weights)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("num_edges", [0, 1, 500])
+def test_edge_rows_serve_several_files(tmp_path, num_edges):
+    rng = np.random.default_rng(num_edges + 1)
+    edges = np.sort(rng.integers(0, 10**6, size=(num_edges, 2)), axis=1)
+    rows = experiment._edge_rows(edges)
+    for name in ("a", "b"):  # a one-shot iterator would leave the second file empty
+        weights = rng.random(num_edges)
+        experiment._write_edge_weights(str(tmp_path / f"{name}.csv"), rows, weights)
+        reference_write_edge_weights(str(tmp_path / f"{name}_ref.csv"), edges, weights)
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}_ref.csv").read_bytes())
+
+
+def test_reference_rows_are_built_once_per_dump(tmp_path, monkeypatch):
+    cfg = tiny_cfg(num_clients=3)
+    states = [make_state(k, cfg) for k in range(3)]
+    ref = server.ReferenceGraph.create(experiment._build_reference(cfg, cfg.dataset.dx), 3,
+                                       cfg.ies.init_value)
+    calls = []
+    edge_rows = experiment._edge_rows
+
+    def counted(edges):
+        calls.append(edges)
+        return edge_rows(edges)
+
+    monkeypatch.setattr(experiment, "_edge_rows", counted)
+    experiment._dump_reference_recon(str(tmp_path), ref, states, 1, cfg)
+    assert len(calls) == 1
+    for k in range(3):
+        assert (tmp_path / f"refrecon_round_1_client_{k}.csv").read_text().count("\n") \
+            == ref.graph.num_edges + 1
 
 
 def reference_write_matrix(path, mat):
