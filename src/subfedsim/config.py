@@ -153,6 +153,12 @@ class ExperimentConfig:
         for key in ("model.lr", "ies.lr_train", "ies.lr_aggr", "ies.zeta", "fed.tau_rho"):
             if value(key) <= 0:
                 raise ConfigError(f"config key {key!r} must be positive")
+        # mask_step's closed form holds for lr * gamma <= 1
+        for key, used in (("ies.lr_train", method.mask),
+                          ("ies.lr_aggr", method.aggregation == "similarity")):
+            if used and value(key) * self.ies.gamma > 1:
+                raise ConfigError(f"config key {key!r} times ies.gamma={self.ies.gamma} "
+                                  f"must be <= 1, got {value(key)}")
         for key in ("ies.init_value", "dataset.p_in", "dataset.p_cross", "dataset.p",
                     "reference.p_in", "reference.p_cross", "reference.p"):
             if not 0.0 <= value(key) <= 1.0:
@@ -218,18 +224,30 @@ def _check_types(obj, prefix: str):
             raise ConfigError(f"config key {prefix + f.name!r} must be finite, got {value!r}")
 
 
+def _float_from_int(value):
+    return float(value) if _IS_TYPE["int"](value) else value
+
+
 def _floats_from_ints(obj, prefix: str):
-    """Store ints given for float fields as floats, so 5 and 5.0 echo alike."""
+    """Store ints given for float fields or float-tuple entries as floats, so 5 and
+    5.0 echo alike, and lists given for tuple fields as tuples."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if dataclasses.is_dataclass(value):
             _floats_from_ints(value, prefix + f.name + ".")
-        elif "float" in f.type.split(" | ") and _IS_TYPE["int"](value):
-            try:
-                setattr(obj, f.name, float(value))
-            except OverflowError:
-                raise ConfigError(f"config key {prefix + f.name!r} is too large "
-                                  "for a float") from None
+            continue
+        types = f.type.split(" | ")
+        try:
+            if "float" in types:
+                value = _float_from_int(value)
+            elif "tuple[float, ...]" in types and isinstance(value, (list, tuple)):
+                value = tuple(map(_float_from_int, value))
+            elif f.type.startswith("tuple[") and isinstance(value, list):
+                value = tuple(value)
+        except OverflowError:
+            raise ConfigError(f"config key {prefix + f.name!r} is too large "
+                              "for a float") from None
+        setattr(obj, f.name, value)
 
 
 def _sub_dataclass(name):
@@ -275,11 +293,8 @@ def from_dict(data: dict) -> ExperimentConfig:
             setattr(cfg, key, section)
         else:
             setattr(cfg, key, value)
-    cfg.validate()
     _floats_from_ints(cfg, "")
-    cfg.split_ratios = tuple(float(x) for x in cfg.split_ratios)
-    if cfg.dump_rounds is not None:
-        cfg.dump_rounds = tuple(cfg.dump_rounds)
+    cfg.validate()
     return cfg
 
 

@@ -393,7 +393,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     summary = {
         "manifest": {
             "config_path": config_path,
-            "out_dir": out_dir,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "tool_version": __version__,
             "versions": {"numpy": np.__version__, "scipy": scipy.__version__,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import gcn
@@ -52,24 +54,41 @@ def mask_objective(mask: np.ndarray, recon: np.ndarray, lam: float,
 
 def mask_step(mask: np.ndarray, recon: np.ndarray, lam: float, gamma: float,
               anchor: np.ndarray, lr_mask: float, n_steps: int) -> np.ndarray:
-    """n_steps of clipped gradient descent on the mask objective; returns a new mask."""
+    """n_steps of clipped gradient descent on the mask objective, solved exactly.
+
+    Each step is w <- clip(w - lr*((r - lam) + gamma*(w - anchor)), 0, 1). While
+    0 <= lr*gamma <= 1 the unclipped iterates move monotonically toward
+    a - (r - lam)/gamma, so for a mask in [0, 1] clipping once equals clipping
+    every step, and the n steps give
+
+        clip(w + k*(gamma*(anchor - w) - (r - lam)), 0, 1),
+        k = (1 - (1 - lr*gamma)^n) / gamma   (k = n*lr when lr*gamma == 0).
+
+    Costs O(E) whatever n_steps is; returns a new mask and leaves `mask` as it is.
+    """
     if lr_mask <= 0:
         raise ValueError("lr_mask must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    decay = lr_mask * gamma
+    if not 0.0 <= decay <= 1.0:
+        raise ValueError(f"lr_mask * gamma must lie in [0, 1], got {decay}")
+    if mask.size and not (0.0 <= mask.min() and mask.max() <= 1.0):
+        raise ValueError("mask weights must lie in [0, 1]")
+    if decay == 0.0:  # gamma == 0, or a product that underflows
+        k = n_steps * lr_mask
+    elif decay == 1.0:  # the first step lands on the fixed point
+        k = 1.0 / gamma
+    else:
+        k = -math.expm1(n_steps * math.log1p(-decay)) / gamma
     r_lam = residuals(recon)
     r_lam -= lam
-    w = mask.copy()
-    step = np.empty_like(w)
-    for _ in range(n_steps):
-        # w <- clip(w - lr * ((r - lam) + gamma * (w - anchor)), 0, 1), in place
-        np.subtract(w, anchor, out=step)
-        step *= gamma
-        step += r_lam
-        step *= lr_mask
-        w -= step
-        w.clip(0.0, 1.0, out=w)
-    return w
+    w = np.subtract(anchor, mask)
+    w *= gamma
+    w -= r_lam
+    w *= k
+    w += mask
+    return w.clip(0.0, 1.0, out=w)
 
 
 def model_reconstruction(params: gcn.GcnParams, norm_adj, g: Graph,

@@ -35,7 +35,8 @@ RUNS = [(method, partition, seed)
         for method in config.METHODS
         for partition in ("bisection", "louvain", "overlap")
         for seed in (0, 1)]
-# The README's byte-stable files; summary.json is hashed without these keys.
+# The README's byte-stable files; summary.json is hashed without these manifest keys
+# where present (runs no longer write `out_dir`).
 STABLE_PREFIXES = ("similarity_round_", "alpha_round_", "tau_round_", "mask_round_",
                    "refrecon_round_")
 VOLATILE_MANIFEST_KEYS = ("timestamp", "out_dir")
@@ -56,7 +57,7 @@ def file_digest(path: str) -> str:
     if os.path.basename(path) == "summary.json":
         summary = json.loads(data)
         for key in VOLATILE_MANIFEST_KEYS:
-            del summary["manifest"][key]
+            summary["manifest"].pop(key, None)
         data = json.dumps(summary, sort_keys=True, indent=2).encode()
     return hashlib.sha256(data).hexdigest()
 

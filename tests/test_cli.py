@@ -193,6 +193,12 @@ class TestRun:
         ("fed.tau_max=-1", "fed.tau_max"),
         ("fed.tau_rho=0", "fed.tau_rho"),
         ("fed.tau_patience=-1", "fed.tau_patience"),
+        ("ies.lr_train=2000", "ies.lr_train"),
+        ("ies.lr_aggr=2000", "ies.lr_aggr"),
+        pytest.param("split_ratios=[1" + "0" * 400 + ",1,1]", "split_ratios",
+                     id="split_ratios=[huge int,1,1]-split_ratios"),
+        pytest.param("ies.lr_train=1" + "0" * 400, "ies.lr_train",
+                     id="ies.lr_train=huge int-ies.lr_train"),
     ])
     def test_wrong_typed_override_errors(self, tmp_path, capsys, override, key):
         cfg = write_cfg(tmp_path)
@@ -212,6 +218,22 @@ class TestRun:
                     config.apply_overrides(base, overrides)
             else:
                 assert config.apply_overrides(base, overrides).ies.steps == 0
+
+    def test_lr_gamma_bounds_follow_the_method(self):
+        from subfedsim import config
+        base = config.ExperimentConfig()  # ies.gamma = 0.001
+        rejected_by = {"ies.lr_train": ("CUFL", "FedAvgCL"),  # they learn a mask
+                       "ies.lr_aggr": ("CUFL",)}  # it aggregates by similarity
+        for key, methods in rejected_by.items():
+            for name in config.METHODS:
+                overrides = [f"method={name}", f"{key}=2000"]
+                if name in methods:
+                    with pytest.raises(config.ConfigError, match=f"'{key}'"):
+                        config.apply_overrides(base, overrides)
+                    assert config.apply_overrides(base, [f"method={name}", f"{key}=1000"])
+                else:
+                    cfg = config.apply_overrides(base, overrides)
+                    assert getattr(cfg.ies, key.split(".")[1]) == 2000
 
     def test_int_and_float_spellings_echo_alike(self):
         from subfedsim import config

@@ -248,7 +248,7 @@ class TestWarmupMask:
 
 
 def reference_mask_step(weights, recon, lam, gamma, anchor_weights, lr_mask, n_steps):
-    """The allocating loop that `mask_step` must reproduce."""
+    """The projected gradient loop whose result `mask_step` computes in closed form."""
     r = np.abs(1.0 - recon)
     w = weights.copy()
     for _ in range(n_steps):
@@ -261,6 +261,7 @@ def reference_mask_step(weights, recon, lam, gamma, anchor_weights, lr_mask, n_s
 @pytest.mark.parametrize("anchor_is_mask", [True, False])
 @pytest.mark.parametrize("lr_mask", [1e-5, 0.0005, 0.5])
 def test_mask_step_matches_reference_bytes(n, anchor_is_mask, lr_mask):
+    """The closed form rounds differently from the loop, so it matches within 1e-12."""
     rng = np.random.default_rng(n)
     for ws in (rng.random(n), rng.integers(0, 4, size=n) / 4.0,
                rng.choice([0.0, -0.0, 5e-324, 0.5, 1.0], size=n)):
@@ -268,8 +269,29 @@ def test_mask_step_matches_reference_bytes(n, anchor_is_mask, lr_mask):
         recon[rng.random(n) < 0.2] = 1.0
         mask = ws.copy()
         anchor = mask if anchor_is_mask else rng.random(n)
-        for lam, gamma, steps in ((0.0, 0.001, 1), (0.3, 0.001, 10), (1.0, 0.0, 3)):
+        for lam, gamma, steps in ((0.0, 0.001, 1), (0.3, 0.001, 10), (1.0, 0.0, 3),
+                                  (0.3, 5e-324, 10), (0.6, 0.001, 1000)):
             got = ies.mask_step(mask, recon, lam, gamma, anchor, lr_mask, steps)
             want = reference_mask_step(ws, recon, lam, gamma, anchor, lr_mask, steps)
-            assert got.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12), (lam, gamma, steps)
             assert mask.tobytes() == ws.tobytes()  # the input is not written
+        gamma = 1.0 / lr_mask  # lr*gamma == 1 (one ulp below at lr = 1e-5): no log1p(-1)
+        for steps in (1, 4):
+            with np.errstate(all="raise"):
+                got = ies.mask_step(mask, recon, 0.3, gamma, anchor, lr_mask, steps)
+            want = reference_mask_step(ws, recon, 0.3, gamma, anchor, lr_mask, steps)
+            assert np.all(np.abs(got - want) <= 1e-12), steps
+
+
+def test_mask_step_rejects_lr_gamma_above_one():
+    mask = np.full(3, 0.5)
+    with pytest.raises(ValueError, match="lr_mask \\* gamma"):
+        ies.mask_step(mask, np.zeros(3), 0.1, 2.5, mask, 0.5, 3)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+def test_mask_step_rejects_a_mask_outside_the_unit_interval(bad):
+    mask = np.array([0.5, bad, 1.0])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ies.mask_step(mask, np.zeros(3), 0.1, 0.001, mask, 0.5, 3)
