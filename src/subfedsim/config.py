@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -121,7 +122,15 @@ class ExperimentConfig:
     dump_rounds: tuple[int, ...] | None = None   # None -> (1, rounds)
 
     def validate(self):
-        _check_types(self, "")
+        def check_types(obj, prefix):
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if dataclasses.is_dataclass(value):
+                    check_types(value, prefix + f.name + ".")
+                else:
+                    _coerce(value, f.type, prefix + f.name)
+
+        check_types(self, "")
 
         def value(key):
             return reduce(getattr, key.split("."), self)
@@ -194,69 +203,47 @@ class ExperimentConfig:
         return (1, self.rounds)
 
 
-_IS_TYPE = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "None": lambda v: v is None,
-}
+_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
 
 
-def _is_type(value, annotation: str) -> bool:
-    if annotation.startswith("tuple["):  # tuple[T, ...]: a list or tuple of T
-        item = annotation[len("tuple["):].split(",")[0]
-        return isinstance(value, (list, tuple)) and all(_IS_TYPE[item](x) for x in value)
-    return _IS_TYPE[annotation](value)
+def _coerce(value, annotation: str, key: str):
+    """Return `value` as a field annotated `annotation` stores it: an int becomes a
+    float for a float field or float-tuple entry, so 5 and 5.0 echo alike, and a list
+    becomes a tuple. Raise ConfigError naming `key` for a value of no listed type, a
+    NaN or infinity, or an int too large for a float."""
+    for t in annotation.split(" | "):
+        if t.startswith("tuple["):  # tuple[T, ...]: a list or tuple of T
+            if isinstance(value, (list, tuple)):
+                item = t[len("tuple["):].split(",")[0]
+                return tuple(_coerce(x, item, key) for x in value)
+        elif isinstance(value, _TYPES[t]) and not isinstance(value, bool):
+            if t != "float":
+                return value
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"config key {key!r} is too large for a float") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+            return value
+    raise ConfigError(f"config key {key!r} must be {annotation}, got {value!r}")
 
 
-def _check_types(obj, prefix: str):
-    """Raise ConfigError naming the dotted key of the first value of the wrong
-    type, or of the first NaN or infinite float."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if dataclasses.is_dataclass(value):
-            _check_types(value, prefix + f.name + ".")
-        elif not any(_is_type(value, a) for a in f.type.split(" | ")):
-            raise ConfigError(f"config key {prefix + f.name!r} must be {f.type}, "
-                              f"got {value!r}")
-        elif any(isinstance(x, float) and not math.isfinite(x)
-                 for x in (value if isinstance(value, (list, tuple)) else (value,))):
-            raise ConfigError(f"config key {prefix + f.name!r} must be finite, got {value!r}")
-
-
-def _float_from_int(value):
-    return float(value) if _IS_TYPE["int"](value) else value
-
-
-def _floats_from_ints(obj, prefix: str):
-    """Store ints given for float fields or float-tuple entries as floats, so 5 and
-    5.0 echo alike, and lists given for tuple fields as tuples."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if dataclasses.is_dataclass(value):
-            _floats_from_ints(value, prefix + f.name + ".")
-            continue
-        types = f.type.split(" | ")
-        try:
-            if "float" in types:
-                value = _float_from_int(value)
-            elif "tuple[float, ...]" in types and isinstance(value, (list, tuple)):
-                value = tuple(map(_float_from_int, value))
-            elif f.type.startswith("tuple[") and isinstance(value, list):
-                value = tuple(value)
-        except OverflowError:
-            raise ConfigError(f"config key {prefix + f.name!r} is too large "
-                              "for a float") from None
-        setattr(obj, f.name, value)
-
-
-def _sub_dataclass(name):
-    f = ExperimentConfig.__dataclass_fields__.get(name)
-    if f is None:
-        return None
-    if f.default_factory is not dataclasses.MISSING and dataclasses.is_dataclass(f.default_factory):
-        return f.default_factory
-    return None
+def _load(obj, data: dict, prefix: str):
+    """Store each entry of `data` into the dataclass `obj` through `_coerce`; a
+    section's entries load into its sub-dataclass."""
+    valid = {f.name: f.type for f in fields(obj)}
+    for key, value in data.items():
+        if key not in valid:
+            raise ConfigError(f"unknown config key {prefix + key!r}; "
+                              f"valid keys: {sorted(valid)}")
+        section = getattr(obj, key)
+        if dataclasses.is_dataclass(section):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {prefix + key!r} must be an object")
+            _load(section, value, prefix + key + ".")
+        else:
+            setattr(obj, key, _coerce(value, valid[key], prefix + key))
 
 
 def to_dict(cfg: ExperimentConfig) -> dict:
@@ -267,33 +254,11 @@ def to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
-def _apply_section(obj, data: dict, path: str):
-    valid = {f.name for f in fields(obj)}
-    for key, value in data.items():
-        if key not in valid:
-            raise ConfigError(
-                f"unknown config key {path + key!r}; valid keys: {sorted(valid)}")
-        setattr(obj, key, value)
-
-
 def from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     cfg = ExperimentConfig()
-    valid = {f.name for f in fields(cfg)}
-    for key, value in data.items():
-        if key not in valid:
-            raise ConfigError(f"unknown config key {key!r}; valid keys: {sorted(valid)}")
-        sub = _sub_dataclass(key)
-        if sub is not None:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {key!r} must be an object")
-            section = sub()
-            _apply_section(section, value, key + ".")
-            setattr(cfg, key, section)
-        else:
-            setattr(cfg, key, value)
-    _floats_from_ints(cfg, "")
+    _load(cfg, data, "")
     cfg.validate()
     return cfg
 
@@ -315,19 +280,14 @@ def _parse_value(text: str):
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list) -> ExperimentConfig:
-    """Apply repeatable `--set dotted.key=value` overrides and revalidate."""
-    data = to_dict(cfg)
+    """Apply repeatable `--set dotted.key=value` overrides to a copy of `cfg` and
+    revalidate; `a.b=v` loads as `{"a": {"b": v}}`."""
+    cfg = copy.deepcopy(cfg)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must be of the form key=value")
         dotted, raw = item.split("=", 1)
-        keys = dotted.split(".")
-        node = data
-        for k in keys[:-1]:
-            if k not in node or not isinstance(node[k], dict):
-                raise ConfigError(f"unknown config key {dotted!r}")
-            node = node[k]
-        if keys[-1] not in node:
-            raise ConfigError(f"unknown config key {dotted!r}; valid keys: {sorted(node)}")
-        node[keys[-1]] = _parse_value(raw)
-    return from_dict(data)
+        _load(cfg, reduce(lambda v, k: {k: v}, reversed(dotted.split(".")),
+                          _parse_value(raw)), "")
+    cfg.validate()
+    return cfg

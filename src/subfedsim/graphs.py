@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from collections import deque
@@ -501,6 +502,10 @@ def load_graph_dir(path: str) -> Graph:
                 feats.append([float(x) for x in parts[2:]])
             except ValueError as exc:
                 raise GraphParseError(f"{nodes_path}:{lineno}: {exc}") from exc
+            if labels[-1] < 0:
+                raise GraphParseError(f"{nodes_path}:{lineno}: label must be >= 0")
+            if not all(map(math.isfinite, feats[-1])):
+                raise GraphParseError(f"{nodes_path}:{lineno}: features must be finite")
     n = len(ids)
     if sorted(ids) != list(range(n)):
         raise GraphParseError(f"{nodes_path}: node ids must be exactly 0..{n - 1}")
@@ -557,6 +562,8 @@ def load_partition_csv(path: str, num_nodes: int) -> Partition:
                 raise GraphParseError(f"{path}:{lineno}: node id out of range")
             if c < 0:
                 raise GraphParseError(f"{path}:{lineno}: client id must be >= 0")
+            if assignment[u] is not None:
+                raise GraphParseError(f"{path}:{lineno}: node {u} is listed twice")
             assignment[u] = c
     clients = [c for c in assignment if c is not None]
     if not clients:

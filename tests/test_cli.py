@@ -61,6 +61,14 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
         assert run_cli("generate", "ba", "--n", "10", "--force", str(out)) == 0
 
+    @pytest.mark.parametrize("flag", ["--dx", "--num-classes"])
+    def test_rejects_nonpositive_width(self, tmp_path, capsys, flag):
+        out = tmp_path / "g"
+        assert run_cli("generate", "sbm", "--blocks", "2", "--block-size", "10",
+                       flag, "0", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be >= 1")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["sbm", "--blocks", "3", "--block-size", "15", "--p-in", "0.3", "--p-cross", "0.02",
          "--num-classes", "3", "--seed", "4"],
@@ -199,6 +207,9 @@ class TestRun:
                      id="split_ratios=[huge int,1,1]-split_ratios"),
         pytest.param("ies.lr_train=1" + "0" * 400, "ies.lr_train",
                      id="ies.lr_train=huge int-ies.lr_train"),
+        ("typo.key=1", "typo"),
+        ("seed.x=1", "seed"),
+        ("fed.tau.x=1", "fed.tau"),
     ])
     def test_wrong_typed_override_errors(self, tmp_path, capsys, override, key):
         cfg = write_cfg(tmp_path)
@@ -244,6 +255,35 @@ class TestRun:
         assert config.to_dict(as_int) == config.to_dict(as_float)
         assert json.dumps(config.to_dict(as_int)) == json.dumps(config.to_dict(as_float))
         assert isinstance(as_int.fed.tau, float) and isinstance(as_int.model.hidden, int)
+
+    def test_apply_overrides_leaves_its_input_unchanged(self):
+        from subfedsim import config
+        base = config.ExperimentConfig()
+        base.fed.tau = 7  # an int, as a config built in code may hold
+        before = config.to_dict(base)
+        cfg = config.apply_overrides(base, ["fed.beta=0.5", "model.hidden=8",
+                                            "split_ratios=[1, 1, 1]"])
+        assert (cfg.fed.beta, cfg.model.hidden, cfg.split_ratios) == (0.5, 8, (1.0, 1.0, 1.0))
+        assert config.to_dict(base) == before and base.fed.tau == 7
+        assert base.fed is not cfg.fed and base.model is not cfg.model
+
+    @pytest.mark.parametrize("key", ["ies.lr_train", "split_ratios"])
+    def test_validate_rejects_huge_int_built_in_code(self, key):
+        from subfedsim import config
+        cfg = config.ExperimentConfig()
+        if key == "split_ratios":
+            cfg.split_ratios = (10**400, 1, 1)
+        else:
+            cfg.ies.lr_train = 10**400
+        with pytest.raises(config.ConfigError, match=f"'{key}' is too large for a float"):
+            cfg.validate()
+
+    def test_validate_does_not_convert(self):
+        from subfedsim import config
+        cfg = config.ExperimentConfig(split_ratios=[2, 4, 4])
+        cfg.fed.tau = 5
+        cfg.validate()
+        assert cfg.split_ratios == [2, 4, 4] and cfg.fed.tau == 5 and type(cfg.fed.tau) is int
 
     def test_manifest_records_versions(self, tmp_path):
         out = tmp_path / "v"

@@ -318,6 +318,31 @@ class TestGraphDir:
         with pytest.raises(graphs.GraphParseError, match=r"partition\.csv: no node,client"):
             graphs.load_partition_csv(str(path), 3)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_errors_with_line(self, tmp_path, value):
+        g = graphs.generate_er(4, 0.5, 2, 2, seed=0)
+        graphs.save_graph_dir(g, str(tmp_path))
+        lines = (tmp_path / "nodes.csv").read_text().splitlines(keepends=True)
+        lines[3] = f"2,0,0.5,{value}\n"
+        (tmp_path / "nodes.csv").write_text("".join(lines))
+        with pytest.raises(graphs.GraphParseError, match=r"nodes\.csv:4: features must be finite"):
+            graphs.load_graph_dir(str(tmp_path))
+
+    def test_negative_label_errors_with_line(self, tmp_path):
+        g = graphs.generate_er(4, 0.5, 2, 2, seed=0)
+        graphs.save_graph_dir(g, str(tmp_path))
+        lines = (tmp_path / "nodes.csv").read_text().splitlines(keepends=True)
+        lines[2] = "1,-1,0.5,0.5\n"
+        (tmp_path / "nodes.csv").write_text("".join(lines))
+        with pytest.raises(graphs.GraphParseError, match=r"nodes\.csv:3: label must be >= 0"):
+            graphs.load_graph_dir(str(tmp_path))
+
+    def test_partition_csv_duplicate_node_rejected(self, tmp_path):
+        path = tmp_path / "partition.csv"
+        path.write_text("node,client\n0,0\n1,1\n0,1\n")
+        with pytest.raises(graphs.GraphParseError, match=r"partition\.csv:4: node 0 is listed twice"):
+            graphs.load_partition_csv(str(path), 2)
+
     def test_partition_csv_client_gap_rejected(self, tmp_path):
         path = tmp_path / "partition.csv"
         path.write_text("node,client\n0,0\n1,2\n2,2\n")
