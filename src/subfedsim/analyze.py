@@ -73,10 +73,14 @@ def learning_curve_csv(run_dir: str) -> str:
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
         idx = {name: i for i, name in enumerate(header)}
-        for line in f:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) < len(header):
+        for lineno, line in enumerate(f, start=2):
+            line = line.rstrip("\n")
+            if not line:
                 continue
+            parts = line.split(",")
+            if len(parts) < len(header):
+                raise AnalysisError(f"{path}:{lineno}: expected {len(header)} fields, "
+                                    f"got {len(parts)}")
             lines.append(f"{parts[idx['round']]},{parts[idx['test_acc']]},{parts[idx['client']]}")
     return "\n".join(lines) + "\n"
 

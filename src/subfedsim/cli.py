@@ -11,9 +11,10 @@ from .experiment import run_experiment
 
 
 def cmd_generate(args) -> int:
-    for flag, value in (("--dx", args.dx), ("--num-classes", args.num_classes)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    for flag, value, low in (("--dx", args.dx, 1), ("--num-classes", args.num_classes, 1),
+                             ("--seed", args.seed, 0)):
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
     out = args.out
     if os.path.isdir(out) and os.listdir(out) and not args.force:
         raise ValueError(f"output directory {out} is not empty (use --force)")

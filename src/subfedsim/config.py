@@ -145,8 +145,8 @@ class ExperimentConfig:
                                   f"got {value(key)!r}")
         method = METHODS[self.method]
         lower_bounds = [(key, 0) for key in (
-            "rounds", "warmup.rounds", "warmup.steps", "ies.gamma", "fed.beta", "fed.tau_init",
-            "fed.tau_min", "fed.tau_max", "fed.tau_patience")]
+            "seed", "rounds", "warmup.rounds", "warmup.steps", "ies.gamma", "fed.beta",
+            "fed.tau_init", "fed.tau_min", "fed.tau_max", "fed.tau_patience")]
         if not isinstance(self.fed.tau, str):
             lower_bounds.append(("fed.tau", 0))
         lower_bounds += [(key, 1) for key in (

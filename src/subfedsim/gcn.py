@@ -45,9 +45,7 @@ class GcnParams:
         return next(name for name, t in self.tensors() if not np.all(np.isfinite(t)))
 
     def sq_distance(self, other: "GcnParams") -> float:
-        # per-tensor sums: a single flat sum rounds differently
-        return sum(float(np.sum((a - b) ** 2))
-                   for (_, a), (_, b) in zip(self.tensors(), other.tensors()))
+        return float(np.sum((self.flat - other.flat) ** 2))
 
 
 def weighted_sum(weights, params: list) -> GcnParams:
@@ -62,6 +60,7 @@ def weighted_sum(weights, params: list) -> GcnParams:
 class Embeddings:
     H1: np.ndarray  # (n, hidden) post-ReLU
     H2: np.ndarray  # (n, num_classes) logits
+    AX: np.ndarray  # (n, d_x) propagated features, the input of W1
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates, offset
@@ -161,20 +160,15 @@ def forward(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndarray) ->
     """H1 = ReLU((A X) W1 + b1); logits H2 = A (H1 W2) + b2.
 
     Each sparse product runs on the narrower side (d_x, then num_classes
-    columns). Layer 1 is associated as in `loss_and_grads`, so both see one Z1.
+    columns). This is the only forward pass: `loss_and_grads` back-propagates
+    through it, so the trained model is the evaluated model.
     """
     if features.shape[1] != params.W1.shape[0]:
         raise ValueError("feature dimension does not match W1")
-    Z1 = (norm_adj @ features) @ params.W1 + params.b1
-    H1 = np.maximum(Z1, 0.0)
+    AX = norm_adj @ features
+    H1 = np.maximum(AX @ params.W1 + params.b1, 0.0)
     H2 = norm_adj @ (H1 @ params.W2) + params.b2
-    return Embeddings(H1=H1, H2=H2)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return Embeddings(H1=H1, H2=H2, AX=AX)
 
 
 def loss_and_grads(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndarray,
@@ -185,29 +179,23 @@ def loss_and_grads(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndar
     n_train = int(train_mask.sum())
     if n_train == 0:
         raise ValueError("loss requires at least one train node")
-    AX = norm_adj @ features
-    Z1 = AX @ params.W1 + params.b1
-    H1 = np.maximum(Z1, 0.0)
-    AH1 = norm_adj @ H1
-    Z2 = AH1 @ params.W2 + params.b2
-    P = _softmax(Z2)
+    emb = forward(params, norm_adj, features)
     idx = np.flatnonzero(train_mask)
-    logp = Z2 - Z2.max(axis=1, keepdims=True)
+    logp = emb.H2 - emb.H2.max(axis=1, keepdims=True)
     logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
     ce = -float(logp[idx, labels[idx]].mean())
-    prox = 0.5 * beta * params.sq_distance(anchor)
-    loss = ce + prox
+    loss = ce + 0.5 * beta * params.sq_distance(anchor)
 
-    dZ2 = np.zeros_like(Z2)
-    dZ2[idx] = P[idx]
+    dZ2 = np.zeros_like(emb.H2)
+    dZ2[idx] = np.exp(logp[idx])  # softmax
     dZ2[idx, labels[idx]] -= 1.0
     dZ2 /= n_train
+    AdZ2 = norm_adj @ dZ2  # norm_adj is symmetric, so this is A^T dZ2
     grads = params.like(beta * (params.flat - anchor.flat))
-    grads.W2 += AH1.T @ dZ2
+    grads.W2 += emb.H1.T @ AdZ2
     grads.b2 += dZ2.sum(axis=0)
-    dH1 = (norm_adj @ dZ2) @ params.W2.T  # norm_adj is symmetric
-    dZ1 = dH1 * (Z1 > 0)
-    grads.W1 += AX.T @ dZ1
+    dZ1 = (AdZ2 @ params.W2.T) * (emb.H1 > 0)
+    grads.W1 += emb.AX.T @ dZ1
     grads.b1 += dZ1.sum(axis=0)
     return loss, grads
 

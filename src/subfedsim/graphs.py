@@ -489,6 +489,8 @@ def load_graph_dir(path: str) -> Graph:
         if cols[:2] != ["id", "label"]:
             raise GraphParseError(f"{nodes_path}:1: expected header 'id,label,f0..'")
         d = len(cols) - 2
+        if d < 1:
+            raise GraphParseError(f"{nodes_path}:1: expected at least one feature column")
         for lineno, line in enumerate(f, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -507,6 +509,8 @@ def load_graph_dir(path: str) -> Graph:
             if not all(map(math.isfinite, feats[-1])):
                 raise GraphParseError(f"{nodes_path}:{lineno}: features must be finite")
     n = len(ids)
+    if n == 0:
+        raise GraphParseError(f"{nodes_path}: no node rows")
     if sorted(ids) != list(range(n)):
         raise GraphParseError(f"{nodes_path}: node ids must be exactly 0..{n - 1}")
     order = np.argsort(ids)
@@ -532,7 +536,7 @@ def load_graph_dir(path: str) -> Graph:
                 raise GraphParseError(f"{edges_path}:{lineno}: endpoint out of range")
             raw_edges.append((u, v))
     edges = _normalize_edges(np.array(raw_edges, dtype=np.int64))
-    num_classes = int(labels_arr.max()) + 1 if n else 0
+    num_classes = int(labels_arr.max()) + 1
     g = Graph(n, features, labels_arr, edges, num_classes)
     g.validate()
     return g

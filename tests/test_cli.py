@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import networkx
 import numpy
@@ -61,12 +62,16 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
         assert run_cli("generate", "ba", "--n", "10", "--force", str(out)) == 0
 
-    @pytest.mark.parametrize("flag", ["--dx", "--num-classes"])
-    def test_rejects_nonpositive_width(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, value, low", [
+        pytest.param("--dx", "0", 1, id="--dx"),
+        pytest.param("--num-classes", "0", 1, id="--num-classes"),
+        pytest.param("--seed", "-1", 0, id="--seed"),
+    ])
+    def test_rejects_nonpositive_width(self, tmp_path, capsys, flag, value, low):
         out = tmp_path / "g"
         assert run_cli("generate", "sbm", "--blocks", "2", "--block-size", "10",
-                       flag, "0", str(out)) == 1
-        assert capsys.readouterr().err.startswith(f"error: {flag} must be >= 1")
+                       flag, value, str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be >= {low}")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -165,6 +170,7 @@ class TestRun:
         ("ies.steps=0", "ies.steps"),
         ("warmup.steps=-1", "warmup.steps"),
         ("warmup.rounds=-1", "warmup.rounds"),
+        ("seed=-1", "seed"),
         ("model.hidden=0", "model.hidden"),
         ("dataset.dx=0", "dataset.dx"),
         ("dataset.num_classes=0", "dataset.num_classes"),
@@ -318,6 +324,16 @@ class TestAnalyze:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "round,test_acc,client"
         assert len(lines) == 1 + 2 * 2  # rounds * clients
+
+    def test_learning_curve_rejects_truncated_row(self, run_dir, tmp_path, capsys):
+        bad = tmp_path / "truncated"
+        shutil.copytree(run_dir, bad)
+        text = (bad / "metrics.csv").read_text()
+        lineno = text.count("\n") + 2  # an empty line, which is skipped, then the row
+        (bad / "metrics.csv").write_text(text + "\n1,1,0.5\n")
+        assert run_cli("analyze", "learning-curve", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"metrics.csv:{lineno}: expected" in err
 
     def test_weight_proportion_to_file(self, run_dir, tmp_path):
         dest = tmp_path / "prop.csv"

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from subfedsim import gcn
 
 
-def random_instance(seed, n=5, d_x=3, hidden=4, C=2, p_edge=0.5):
+def random_instance(seed, n=5, d_x=3, hidden=4, C=2, p_edge=0.5, masked=True):
     rng = np.random.default_rng(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = np.array([e for e in pairs if rng.random() < p_edge],
@@ -18,7 +18,7 @@ def random_instance(seed, n=5, d_x=3, hidden=4, C=2, p_edge=0.5):
         train[0] = True
     params = gcn.init_params(d_x, hidden, C, seed)
     anchor = gcn.init_params(d_x, hidden, C, seed + 1)
-    adj = gcn.normalize_masked_adjacency(edges, mask_w, n)
+    adj = gcn.normalize_masked_adjacency(edges, mask_w if masked else np.ones_like(mask_w), n)
     return params, adj, X, y, train, anchor
 
 
@@ -208,6 +208,66 @@ class TestLossAndGrads:
                 assert abs(g.ravel()[i] - fd) / denom < 1e-4, (name, i)
 
 
+def reference_loss_and_grads(params, norm_adj, features, labels, train_mask, anchor, beta):
+    """The former standalone kernel: its own forward pass, associated as (A H1) W2."""
+    train_mask = np.asarray(train_mask, dtype=bool)
+    n_train = int(train_mask.sum())
+    AX = norm_adj @ features
+    Z1 = AX @ params.W1 + params.b1
+    H1 = np.maximum(Z1, 0.0)
+    AH1 = norm_adj @ H1
+    Z2 = AH1 @ params.W2 + params.b2
+    e = np.exp(Z2 - Z2.max(axis=1, keepdims=True))
+    P = e / e.sum(axis=1, keepdims=True)
+    idx = np.flatnonzero(train_mask)
+    logp = Z2 - Z2.max(axis=1, keepdims=True)
+    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    ce = -float(logp[idx, labels[idx]].mean())
+    prox = 0.5 * beta * sum(float(np.sum((a - b) ** 2))
+                            for (_, a), (_, b) in zip(params.tensors(), anchor.tensors()))
+    loss = ce + prox
+
+    dZ2 = np.zeros_like(Z2)
+    dZ2[idx] = P[idx]
+    dZ2[idx, labels[idx]] -= 1.0
+    dZ2 /= n_train
+    grads = params.like(beta * (params.flat - anchor.flat))
+    grads.W2 += AH1.T @ dZ2
+    grads.b2 += dZ2.sum(axis=0)
+    dH1 = (norm_adj @ dZ2) @ params.W2.T
+    dZ1 = dH1 * (Z1 > 0)
+    grads.W1 += AX.T @ dZ1
+    grads.b1 += dZ1.sum(axis=0)
+    return loss, grads
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("hidden", [1, 4, 32, 128])
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 1.0])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_reference_kernel(self, masked, beta, hidden):
+        for seed in range(17):
+            params, adj, X, y, train, anchor = random_instance(
+                seed, n=30, d_x=6, hidden=hidden, C=3, p_edge=0.2, masked=masked)
+            loss, grads = gcn.loss_and_grads(params, adj, X, y, train, anchor, beta)
+            ref_loss, ref_grads = reference_loss_and_grads(params, adj, X, y, train,
+                                                           anchor, beta)
+            assert abs(loss - ref_loss) <= 1e-12, seed
+            assert np.max(np.abs(grads.flat - ref_grads.flat)) <= 1e-12, seed
+
+    def test_unregularized_loss_is_cross_entropy_of_forward_bytes(self):
+        """Training reads the logits that `forward` returns, not a recomputation."""
+        for seed in range(20):
+            params, adj, X, y, train, anchor = random_instance(seed, n=30, d_x=16,
+                                                               hidden=32, C=3)
+            loss, _ = gcn.loss_and_grads(params, adj, X, y, train, anchor, 0.0)
+            H2 = gcn.forward(params, adj, X).H2
+            z = H2 - H2.max(axis=1, keepdims=True)
+            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            idx = np.flatnonzero(train)
+            assert loss == -float(logp[idx, y[idx]].mean()), seed
+
+
 class TestFlatParams:
     def test_tensors_are_views_of_flat(self):
         params = gcn.init_params(3, 4, 2, seed=0)
@@ -314,12 +374,13 @@ class TestAdam:
 class TestAccuracy:
     def test_one_hot_perfect(self):
         y = np.array([0, 1, 2])
-        emb = gcn.Embeddings(H1=np.zeros((3, 1)), H2=np.eye(3))
+        emb = gcn.Embeddings(H1=np.zeros((3, 1)), H2=np.eye(3), AX=np.zeros((3, 1)))
         assert gcn.accuracy(emb, y, np.ones(3, dtype=bool)) == 1.0
 
     def test_shifted_one_hot_zero(self):
         y = np.array([0, 1, 2])
-        emb = gcn.Embeddings(H1=np.zeros((3, 1)), H2=np.eye(3)[(y + 1) % 3])
+        emb = gcn.Embeddings(H1=np.zeros((3, 1)), H2=np.eye(3)[(y + 1) % 3],
+                             AX=np.zeros((3, 1)))
         assert gcn.accuracy(emb, y, np.ones(3, dtype=bool)) == 0.0
 
     def test_random_logits_near_half(self):
@@ -328,12 +389,13 @@ class TestAccuracy:
         for _ in range(20):
             y = rng.integers(0, 2, size=1000)
             emb = gcn.Embeddings(H1=np.zeros((1000, 1)),
-                                 H2=rng.standard_normal((1000, 2)))
+                                 H2=rng.standard_normal((1000, 2)),
+                                 AX=np.zeros((1000, 1)))
             accs.append(gcn.accuracy(emb, y, np.ones(1000, dtype=bool)))
         assert abs(np.mean(accs) - 0.5) < 0.05
 
     def test_empty_split_rejected(self):
-        emb = gcn.Embeddings(H1=np.zeros((2, 1)), H2=np.zeros((2, 2)))
+        emb = gcn.Embeddings(H1=np.zeros((2, 1)), H2=np.zeros((2, 2)), AX=np.zeros((2, 1)))
         with pytest.raises(ValueError):
             gcn.accuracy(emb, np.zeros(2, dtype=int), np.zeros(2, dtype=bool))
 

@@ -285,6 +285,19 @@ class TestGraphDir:
         with pytest.raises(graphs.GraphParseError, match="nodes.csv"):
             graphs.load_graph_dir(str(tmp_path))
 
+    def test_featureless_header_errors_with_line(self, tmp_path):
+        (tmp_path / "nodes.csv").write_text("id,label\n0,0\n1,1\n")
+        (tmp_path / "edges.csv").write_text("src,dst\n0,1\n")
+        with pytest.raises(graphs.GraphParseError,
+                           match=r"nodes\.csv:1: expected at least one feature column"):
+            graphs.load_graph_dir(str(tmp_path))
+
+    def test_header_only_nodes_names_file(self, tmp_path):
+        (tmp_path / "nodes.csv").write_text("id,label,f0\n")
+        (tmp_path / "edges.csv").write_text("src,dst\n")
+        with pytest.raises(graphs.GraphParseError, match=r"nodes\.csv: no node rows"):
+            graphs.load_graph_dir(str(tmp_path))
+
     def test_directed_input_symmetrized(self, tmp_path):
         g = graphs.generate_er(4, 0.0, 2, 2, seed=0)
         graphs.save_graph_dir(g, str(tmp_path))
