@@ -1,9 +1,10 @@
-"""Golden digests: the sha256 of every byte-stable file of 30 short runs.
+"""Golden digests: the sha256 of every byte-stable file of 35 short runs.
 
     python3 tests/golden.py        # rewrites tests/golden.json
 
 The runs are the default config at 5 rounds for every method, the
-`bisection`, `louvain` and `overlap` partitions, and seeds 0 and 1.
+`bisection`, `louvain` and `overlap` partitions, and seeds 0 and 1, plus five
+runs that each override one key to reach a path the defaults miss.
 `test_golden.py` reruns them and compares each file with the recorded digest.
 Regenerate the file only for a change that is meant to alter run artifacts,
 and say why in CHANGES.md.
@@ -31,10 +32,20 @@ from subfedsim import config, experiment  # noqa: E402
 
 GOLDEN_PATH = os.path.join(ROOT, "tests", "golden.json")
 ROUNDS = 5
-RUNS = [(method, partition, seed)
+RUNS = [(method, partition, seed, ())
         for method in config.METHODS
         for partition in ("bisection", "louvain", "overlap")
-        for seed in (0, 1)]
+        for seed in (0, 1)] + [
+    # two epochs: the prox term away from its anchor, the mask refreshed each epoch
+    ("CUFL", "bisection", 0, ("epochs=2",)),
+    ("FedProx", "bisection", 0, ("epochs=2",)),
+    ("FedAvgCL", "bisection", 0, ("epochs=2",)),
+    # masks and indicators reconstructed from the logits
+    ("CUFL", "bisection", 0, ("ies.embeddings=logits",)),
+    # the server stage evaluates each aggregated model to step its tau; patience 0
+    # lets every round's validation accuracy move tau within the five rounds
+    ("CUFL", "bisection", 0, ("fed.tau=adaptive", "fed.tau_patience=0")),
+]
 # The README's byte-stable files; summary.json is hashed without these manifest keys
 # where present (runs no longer write `out_dir`).
 STABLE_PREFIXES = ("similarity_round_", "alpha_round_", "tau_round_", "mask_round_",
@@ -42,8 +53,8 @@ STABLE_PREFIXES = ("similarity_round_", "alpha_round_", "tau_round_", "mask_roun
 VOLATILE_MANIFEST_KEYS = ("timestamp", "out_dir")
 
 
-def run_name(method: str, partition: str, seed: int) -> str:
-    return f"{method}-{partition}-seed{seed}"
+def run_name(method: str, partition: str, seed: int, overrides: tuple = ()) -> str:
+    return "-".join((f"{method}-{partition}-seed{seed}", *overrides))
 
 
 def fingerprint() -> dict:
@@ -62,10 +73,13 @@ def file_digest(path: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(method: str, partition: str, seed: int, out_dir: str) -> dict:
-    """Run one golden config into out_dir; return {file name: sha256}."""
+def run_digests(method: str, partition: str, seed: int, overrides: tuple,
+                out_dir: str) -> dict:
+    """Run one golden config, with `--set` style overrides, into out_dir; return
+    {file name: sha256}."""
     cfg = config.ExperimentConfig(method=method, seed=seed, rounds=ROUNDS)
     cfg.partition.kind = partition
+    cfg = config.apply_overrides(cfg, list(overrides))
     experiment.run_experiment(cfg, out_dir=out_dir)
     return {name: file_digest(os.path.join(out_dir, name))
             for name in sorted(os.listdir(out_dir))
@@ -75,9 +89,9 @@ def run_digests(method: str, partition: str, seed: int, out_dir: str) -> dict:
 def main() -> int:
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for method, partition, seed in RUNS:
-            name = run_name(method, partition, seed)
-            runs[name] = run_digests(method, partition, seed, os.path.join(tmp, name))
+        for run in RUNS:
+            name = run_name(*run)
+            runs[name] = run_digests(*run, os.path.join(tmp, name))
     with open(GOLDEN_PATH, "w", newline="\n") as f:
         json.dump({"fingerprint": fingerprint(), "rounds": ROUNDS, "runs": runs}, f,
                   indent=1, sort_keys=True)

@@ -1,4 +1,4 @@
-"""Every byte-stable file of 30 short runs matches the digest in golden.json."""
+"""Every byte-stable file of 35 short runs matches the digest in golden.json."""
 
 import json
 
@@ -15,12 +15,11 @@ def test_golden_covers_every_run():
     assert sorted(GOLDEN["runs"]) == sorted(golden.run_name(*r) for r in golden.RUNS)
 
 
-@pytest.mark.parametrize("method, partition, seed", golden.RUNS,
-                         ids=[golden.run_name(*r) for r in golden.RUNS])
-def test_run_matches_golden(tmp_path, method, partition, seed):
-    name = golden.run_name(method, partition, seed)
+@pytest.mark.parametrize("run", golden.RUNS, ids=[golden.run_name(*r) for r in golden.RUNS])
+def test_run_matches_golden(tmp_path, run):
+    name = golden.run_name(*run)
     want = GOLDEN["runs"][name]
-    got = golden.run_digests(method, partition, seed, str(tmp_path / name))
+    got = golden.run_digests(*run, str(tmp_path / name))
     env = golden.fingerprint()
     drift = {k: f"{GOLDEN['fingerprint'][k]} -> {v}"
              for k, v in env.items() if GOLDEN["fingerprint"][k] != v}
