@@ -8,6 +8,7 @@ import operator
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import networkx
 import numpy as np
@@ -50,6 +51,13 @@ class ClientState:
 
     def __post_init__(self):
         self.adjacency = gcn.Adjacency(self.graph.edges, self.graph.num_nodes)
+
+    @cached_property
+    def unmasked_ax(self) -> np.ndarray:
+        """A·X on the unmasked adjacency, computed at first use; it is read-only."""
+        ax = self.adjacency.unmasked @ self.graph.features
+        ax.flags.writeable = False
+        return ax
 
 
 @dataclass
@@ -156,13 +164,19 @@ def infer_clusters(cfg: ExperimentConfig, part: graphs.Partition) -> list | None
 
 
 def _evaluate(state: ClientState, params: gcn.GcnParams) -> dict:
-    """Accuracy on the full (unmasked) local subgraph for all three splits."""
+    """Accuracy on the full (unmasked) local subgraph for all three splits.
+
+    One argmax over all nodes; each split's accuracy is its share of hits, as
+    `gcn.accuracy` computes it, or NaN for an empty split.
+    """
     g = state.graph
-    emb = gcn.forward(params, state.adjacency.unmasked, g.features)
+    emb = gcn.forward(params, state.adjacency.unmasked, g.features, state.unmasked_ax)
+    hit = np.argmax(emb.H2, axis=1) == g.labels
     out = {}
     for which in (graphs.TRAIN, graphs.VAL, graphs.TEST):
         m = state.split.mask(which)
-        out[which] = gcn.accuracy(emb, g.labels, m) if m.any() else float("nan")
+        n = int(np.count_nonzero(m))
+        out[which] = int(np.count_nonzero(hit & m)) / n if n else float("nan")
     return out
 
 
@@ -184,12 +198,16 @@ def _train_epochs(state: ClientState, cfg: ExperimentConfig, method: Method,
     train_mask = state.split.mask(graphs.TRAIN)
     loss = float("nan")
     for _ in range(cfg.epochs):
-        adj = state.adjacency.normalized(mask) if method.mask else state.adjacency.unmasked
+        if method.mask:  # training and reconstruction share this epoch's A·X
+            adj = state.adjacency.normalized(mask)
+            AX = adj @ g.features
+        else:
+            adj, AX = state.adjacency.unmasked, state.unmasked_ax
         loss, grads = gcn.loss_and_grads(trained, adj, g.features, g.labels,
-                                         train_mask, anchor, beta)
+                                         train_mask, anchor, beta, AX)
         trained, adam = gcn.adam_step(trained, grads, adam, cfg.model.lr)
         if method.mask and g.num_edges:
-            recon = ies.model_reconstruction(trained, adj, g, use_logits)
+            recon = ies.model_reconstruction(trained, adj, g, use_logits, AX)
             mask = ies.mask_step(mask, recon, lam, cfg.ies.gamma, mask,
                                  cfg.ies.lr_train, cfg.ies.steps)
     state.trained, state.adam, state.mask = trained, adam, mask
@@ -257,7 +275,7 @@ def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams) -> g
     lam = ies.g_lambda(cfg.ies.zeta, cfg.rounds, 1)
     use_logits = cfg.ies.embeddings == "logits"
     for st in states:
-        st.mask = ies.warmup_mask(st.graph, pretrained, lam, cfg.ies.gamma,
+        st.mask = ies.warmup_mask(st.graph, st.adjacency, pretrained, lam, cfg.ies.gamma,
                                   cfg.ies.lr_train, cfg.warmup.steps,
                                   cfg.ies.init_value, use_logits)
         st.params = init_params.copy()

@@ -127,7 +127,10 @@ class Adjacency:
         w = np.asarray(mask_weights, dtype=np.float64)
         if w.shape[0] != self.num_edges:
             raise ValueError("mask_weights must align with the edge list")
-        if w.size and w.min() < 0:
+        if w.size and not (0.0 <= w.min() and w.max() < np.inf):  # NaN fails both
+            bad = w.size - np.count_nonzero(np.isfinite(w))
+            if bad:
+                raise ValueError(f"{bad} of {w.size} mask weights are non-finite")
             raise ValueError("mask weights must be nonnegative")
         vals = np.empty(self.indices.size)
         vals[self._fwd] = w
@@ -156,35 +159,46 @@ def normalize_masked_adjacency(edges: np.ndarray, mask_weights: np.ndarray,
     return Adjacency(edges, num_nodes).normalized(mask_weights)
 
 
-def forward(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndarray) -> Embeddings:
+def forward(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndarray,
+            AX: np.ndarray | None = None) -> Embeddings:
     """H1 = ReLU((A X) W1 + b1); logits H2 = A (H1 W2) + b2.
 
-    Each sparse product runs on the narrower side (d_x, then num_classes
-    columns). This is the only forward pass: `loss_and_grads` back-propagates
-    through it, so the trained model is the evaluated model.
+    `AX`, when given, is `norm_adj @ features` computed by the caller and is
+    used as it is. Each sparse product runs on the narrower side (d_x, then
+    num_classes columns). This is the only forward pass: `loss_and_grads`
+    back-propagates through it, so the trained model is the evaluated model.
     """
     if features.shape[1] != params.W1.shape[0]:
         raise ValueError("feature dimension does not match W1")
-    AX = norm_adj @ features
-    H1 = np.maximum(AX @ params.W1 + params.b1, 0.0)
-    H2 = norm_adj @ (H1 @ params.W2) + params.b2
+    if AX is None:
+        AX = norm_adj @ features
+    H1 = AX @ params.W1
+    H1 += params.b1
+    np.maximum(H1, 0.0, out=H1)
+    H2 = norm_adj @ (H1 @ params.W2)
+    H2 += params.b2
     return Embeddings(H1=H1, H2=H2, AX=AX)
 
 
 def loss_and_grads(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndarray,
                    labels: np.ndarray, train_mask: np.ndarray,
-                   anchor: GcnParams, beta: float):
-    """Mean train cross-entropy plus (beta/2)||params - anchor||^2, with exact gradients."""
+                   anchor: GcnParams, beta: float, AX: np.ndarray | None = None):
+    """Mean train cross-entropy plus (beta/2)||params - anchor||^2, with exact gradients.
+
+    `AX` is passed to `forward` as it is.
+    """
     train_mask = np.asarray(train_mask, dtype=bool)
     n_train = int(train_mask.sum())
     if n_train == 0:
         raise ValueError("loss requires at least one train node")
-    emb = forward(params, norm_adj, features)
+    emb = forward(params, norm_adj, features, AX)
     idx = np.flatnonzero(train_mask)
     logp = emb.H2 - emb.H2.max(axis=1, keepdims=True)
     logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
     ce = -float(logp[idx, labels[idx]].mean())
-    loss = ce + 0.5 * beta * params.sq_distance(anchor)
+    # at beta = 0 the distance is not computed, but the zero term is still added:
+    # it turns a -0.0 cross-entropy (every train node saturated) into 0.0
+    loss = ce + 0.5 * beta * (params.sq_distance(anchor) if beta else 0.0)
 
     dZ2 = np.zeros_like(emb.H2)
     dZ2[idx] = np.exp(logp[idx])  # softmax
@@ -207,11 +221,23 @@ def adam_step(params: GcnParams, grads: GcnParams, state: AdamState, lr: float):
         raise ValueError(f"non-finite gradient in tensor {name}")
     t = state.step + 1
     g = grads.flat
-    m = ADAM_BETA1 * state.m.flat + (1 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v.flat + (1 - ADAM_BETA2) * g * g
-    mhat = m / (1 - ADAM_BETA1 ** t)
-    vhat = v / (1 - ADAM_BETA2 ** t)
-    new_p = params.flat - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    # the former expressions, evaluated in the same order into four buffers:
+    # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+    # new = p - (lr*(m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps)
+    tmp = np.multiply(g, 1 - ADAM_BETA1)
+    m = np.multiply(state.m.flat, ADAM_BETA1)
+    m += tmp
+    np.multiply(g, 1 - ADAM_BETA2, out=tmp)
+    tmp *= g
+    v = np.multiply(state.v.flat, ADAM_BETA2)
+    v += tmp
+    np.divide(v, 1 - ADAM_BETA2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    new_p = np.divide(m, 1 - ADAM_BETA1 ** t)
+    new_p *= lr
+    new_p /= tmp
+    np.subtract(params.flat, new_p, out=new_p)
     return params.like(new_p), AdamState(m=params.like(m), v=params.like(v), step=t)
 
 

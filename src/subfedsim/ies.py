@@ -91,20 +91,26 @@ def mask_step(mask: np.ndarray, recon: np.ndarray, lam: float, gamma: float,
     return w.clip(0.0, 1.0, out=w)
 
 
-def model_reconstruction(params: gcn.GcnParams, norm_adj, g: Graph,
-                         use_logits: bool = False) -> np.ndarray:
-    """Reconstruct g's edges from the model's hidden embeddings (or its logits)."""
-    emb = gcn.forward(params, norm_adj, g.features)
+def model_reconstruction(params: gcn.GcnParams, norm_adj, g: Graph, use_logits: bool = False,
+                         AX: np.ndarray | None = None) -> np.ndarray:
+    """Reconstruct g's edges from the model's hidden embeddings (or its logits).
+
+    `AX`, when given, is `norm_adj @ g.features`, passed on to `gcn.forward`.
+    """
+    emb = gcn.forward(params, norm_adj, g.features, AX)
     return reconstruct(emb.H2 if use_logits else emb.H1, g.edges)
 
 
-def warmup_mask(g: Graph, pretrained: gcn.GcnParams, lam: float, gamma: float,
-                lr_mask: float, warm_steps: int, init_value: float = 0.5,
-                use_logits: bool = False) -> np.ndarray:
-    """Initialize a uniform mask and pre-shape it with a pretrained model's reconstruction."""
+def warmup_mask(g: Graph, adjacency: gcn.Adjacency, pretrained: gcn.GcnParams,
+                lam: float, gamma: float, lr_mask: float, warm_steps: int,
+                init_value: float = 0.5, use_logits: bool = False) -> np.ndarray:
+    """Initialize a uniform mask and pre-shape it with a pretrained model's reconstruction.
+
+    `adjacency` is the `gcn.Adjacency` of g's edges.
+    """
     mask = np.full(g.num_edges, float(init_value))
     if warm_steps == 0:
         return mask
-    adj = gcn.normalize_masked_adjacency(g.edges, mask, g.num_nodes)
+    adj = adjacency.normalized(mask)
     recon = model_reconstruction(pretrained, adj, g, use_logits)
     return mask_step(mask, recon, lam, gamma, mask, lr_mask, warm_steps)

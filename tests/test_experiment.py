@@ -159,7 +159,7 @@ def reference_warmup(states, cfg, init_params):
         pretrained = init_params
     lam = ies.g_lambda(cfg.ies.zeta, cfg.rounds, 1)
     for st in states:
-        st.mask = ies.warmup_mask(st.graph, pretrained, lam, cfg.ies.gamma,
+        st.mask = ies.warmup_mask(st.graph, st.adjacency, pretrained, lam, cfg.ies.gamma,
                                   cfg.ies.lr_train, cfg.warmup.steps,
                                   cfg.ies.init_value, cfg.ies.embeddings == "logits")
     return pretrained
@@ -181,6 +181,70 @@ def test_warmup_matches_reference_bytes(rounds, epochs):
         assert a.params.flat.tobytes() == init.flat.tobytes()
         assert a.trained.flat.tobytes() == init.flat.tobytes()
         assert a.adam.step == 0 and not a.adam.m.flat.any() and not a.adam.v.flat.any()
+
+
+def reference_evaluate(state, params):
+    """The former evaluation: its own A·X, and one `gcn.accuracy` call per split."""
+    g = state.graph
+    emb = gcn.forward(params, state.adjacency.unmasked, g.features)
+    out = {}
+    for which in (graphs.TRAIN, graphs.VAL, graphs.TEST):
+        m = state.split.mask(which)
+        out[which] = gcn.accuracy(emb, g.labels, m) if m.any() else float("nan")
+    return out
+
+
+def test_evaluate_matches_per_split_accuracy_bytes():
+    cfg = tiny_cfg()
+    states = [make_state(k, cfg, seed=s) for k in range(2) for s in range(3)]
+    # a split with no validation node evaluates to NaN there
+    st = states[-1]
+    st.split = graphs.NodeSplit(["train" if t == "val" else t for t in st.split.tags])
+    for st in states:
+        for seed in range(8):
+            params = gcn.init_params(cfg.dataset.dx, cfg.model.hidden, 2, seed=seed)
+            got, want = experiment._evaluate(st, params), reference_evaluate(st, params)
+            assert list(got) == list(want)
+            for which in want:
+                assert type(got[which]) is float
+                assert np.float64(got[which]).tobytes() == np.float64(want[which]).tobytes()
+    assert np.isnan(experiment._evaluate(states[-1], params)[graphs.VAL])
+
+
+class TestPropagationCache:
+    def test_fedavg_run_propagates_once_per_client(self, monkeypatch):
+        """Training and evaluation on the unmasked graph all read one cached A·X."""
+        cache = experiment.ClientState.unmasked_ax  # the cached_property itself
+        fill = cache.func
+        fills = []
+
+        def counting_fill(state):
+            fills.append(state.client_id)
+            return fill(state)
+
+        forward = gcn.forward
+        uncached = []
+
+        def checked_forward(params, norm_adj, features, AX=None):
+            uncached.append(AX is None)
+            return forward(params, norm_adj, features, AX)
+
+        monkeypatch.setattr(cache, "func", counting_fill)
+        monkeypatch.setattr(gcn, "forward", checked_forward)
+        cfg = config.ExperimentConfig(method="FedAvg", rounds=3, num_clients=2)
+        res = experiment.run_experiment(cfg)
+        assert len(res.records) == 3
+        assert sorted(fills) == [0, 1]
+        # 3 rounds x 2 clients, one training and one evaluation forward each
+        assert len(uncached) == 12 and not any(uncached)
+
+    def test_cached_ax_is_read_only(self):
+        st = make_state(0, tiny_cfg())
+        ax = st.unmasked_ax
+        assert st.unmasked_ax is ax
+        assert ax.tobytes() == (st.adjacency.unmasked @ st.graph.features).tobytes()
+        with pytest.raises(ValueError):
+            ax[0, 0] = 1.0
 
 
 class TestLocalStage:

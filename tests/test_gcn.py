@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -45,6 +48,16 @@ class TestNormalizeAdjacency:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             gcn.normalize_masked_adjacency(np.array([(0, 1)]), np.array([-0.1]), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_weight_rejected(self, bad):
+        adj = gcn.Adjacency(np.array([(0, 1), (1, 2)]), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ValueError, not a RuntimeWarning
+            with pytest.raises(ValueError, match="1 of 2 mask weights are non-finite"):
+                adj.normalized(np.array([bad, 0.5]))
+            with pytest.raises(ValueError, match="2 of 2 mask weights are non-finite"):
+                adj.normalized(np.array([bad, np.nan]))
 
 
 def reference_normalize(edges, mask_weights, num_nodes):
@@ -161,6 +174,19 @@ class TestForward:
         with pytest.raises(ValueError):
             gcn.forward(params, adj, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_supplied_ax_gives_the_same_bytes(self, masked):
+        for seed in range(6):
+            params, adj, X, _, _, _ = random_instance(seed, n=40, d_x=16, hidden=32,
+                                                      masked=masked)
+            AX = adj @ X
+            AX.flags.writeable = False  # the cached A·X is read-only; forward reads it only
+            want = gcn.forward(params, adj, X)
+            got = gcn.forward(params, adj, X, AX)
+            assert got.AX is AX
+            for name in ("H1", "H2", "AX"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
 
 class TestLossAndGrads:
     def test_proximal_zero_at_anchor(self):
@@ -242,6 +268,31 @@ def reference_loss_and_grads(params, norm_adj, features, labels, train_mask, anc
 
 
 class TestAgainstReference:
+    def test_saturated_zero_beta_loss_is_positive_zero(self, monkeypatch):
+        """Every train node saturated: the cross-entropy is -0.0 and the loss 0.0."""
+        n, C = 6, 3
+        params = gcn.GcnParams(W1=np.zeros((2, 4)), b1=np.zeros(4),
+                               W2=np.zeros((4, C)), b2=np.array([200.0, 0.0, -50.0]))
+        anchor = gcn.init_params(2, 4, C, seed=3)  # far from params; unused at beta = 0
+        adj = sp.eye(n, format="csr")
+        X, y = np.ones((n, 2)), np.zeros(n, dtype=int)
+        train = np.array([1, 1, 0, 1, 0, 1], dtype=bool)
+        ref_loss, ref_grads = reference_loss_and_grads(params, adj, X, y, train, anchor, 0.0)
+
+        def unused(self, other):
+            raise AssertionError("sq_distance is not needed at beta = 0")
+
+        monkeypatch.setattr(gcn.GcnParams, "sq_distance", unused)
+        loss, grads = gcn.loss_and_grads(params, adj, X, y, train, anchor, 0.0)
+        H2 = gcn.forward(params, adj, X).H2
+        z = H2 - H2.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        ce = -float(logp[train, 0].mean())
+        assert math.copysign(1.0, ce) == -1.0 and ce == 0.0
+        assert math.copysign(1.0, loss) == 1.0 and loss == 0.0
+        assert repr(loss) == repr(ref_loss) == "0.0"
+        assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+
     @pytest.mark.parametrize("hidden", [1, 4, 32, 128])
     @pytest.mark.parametrize("beta", [0.0, 1e-3, 1.0])
     @pytest.mark.parametrize("masked", [False, True])
@@ -369,6 +420,44 @@ class TestAdam:
         grads.b2[0] = np.nan
         with pytest.raises(ValueError, match="b2"):
             gcn.adam_step(params, grads, gcn.init_adam(params), 0.1)
+
+
+def reference_adam_step(params, grads, state, lr):
+    """The former update: each line a new array. Returns (params, m, v) flats."""
+    t = state.step + 1
+    g = grads.flat
+    m = gcn.ADAM_BETA1 * state.m.flat + (1 - gcn.ADAM_BETA1) * g
+    v = gcn.ADAM_BETA2 * state.v.flat + (1 - gcn.ADAM_BETA2) * g * g
+    mhat = m / (1 - gcn.ADAM_BETA1 ** t)
+    vhat = v / (1 - gcn.ADAM_BETA2 ** t)
+    return params.flat - lr * mhat / (np.sqrt(vhat) + gcn.ADAM_EPS), m, v
+
+
+@pytest.mark.parametrize("zero_grads", [False, True])
+@pytest.mark.parametrize("step", [0, 1, 9, 10**6])
+def test_adam_matches_former_expressions_bytes(step, zero_grads):
+    """Step 0 is t = 1 from zero moments; at t = 10**6 both bias corrections are 1."""
+    rng = np.random.default_rng(step)
+    params = gcn.init_params(6, 32, 3, seed=1)
+    size = params.flat.size
+    if step == 0:
+        state = gcn.init_adam(params)
+    else:
+        state = gcn.AdamState(m=params.like(rng.standard_normal(size) * 1e-2),
+                              v=params.like(rng.random(size) * 1e-4), step=step)
+    scale = 10.0 ** rng.uniform(-12, 2, size)  # gradients over many magnitudes
+    grads = params.like(np.zeros(size) if zero_grads else rng.standard_normal(size) * scale)
+    before = [a.flat.copy() for a in (params, grads, state.m, state.v)]
+    for lr in (0.01, 0.3):
+        new_p, new_s = gcn.adam_step(params, grads, state, lr)
+        ref_p, ref_m, ref_v = reference_adam_step(params, grads, state, lr)
+        assert new_p.flat.tobytes() == ref_p.tobytes()
+        assert new_s.m.flat.tobytes() == ref_m.tobytes()
+        assert new_s.v.flat.tobytes() == ref_v.tobytes()
+        assert new_s.step == step + 1
+    # the inputs are read, never written
+    for a, b in zip(before, (params, grads, state.m, state.v)):
+        assert a.tobytes() == b.flat.tobytes()
 
 
 class TestAccuracy:
