@@ -191,7 +191,7 @@ def _client_metrics(state: ClientState, params: gcn.GcnParams, loss, tau) -> dic
 def _train_epochs(state: ClientState, cfg: ExperimentConfig, method: Method,
                   lam: float) -> float:
     """cfg.epochs of local training from state.params; returns the final epoch's loss."""
-    g, anchor = state.graph, state.params.copy()
+    g, anchor = state.graph, state.params  # read only: adam_step returns new arrays
     trained, adam, mask = state.params, state.adam, state.mask
     beta = cfg.fed.beta if method.prox else 0.0
     use_logits = cfg.ies.embeddings == "logits"

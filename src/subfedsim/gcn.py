@@ -40,7 +40,7 @@ class GcnParams:
 
     def nonfinite_tensor(self) -> str | None:
         """Name of the first tensor holding a NaN or inf, or None."""
-        if np.all(np.isfinite(self.flat)):
+        if np.isfinite(self.flat).all():
             return None
         return next(name for name, t in self.tensors() if not np.all(np.isfinite(t)))
 
@@ -188,14 +188,14 @@ def loss_and_grads(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndar
     `AX` is passed to `forward` as it is.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
-    n_train = int(train_mask.sum())
+    n_train = int(np.count_nonzero(train_mask))
     if n_train == 0:
         raise ValueError("loss requires at least one train node")
     emb = forward(params, norm_adj, features, AX)
     idx = np.flatnonzero(train_mask)
     logp = emb.H2 - emb.H2.max(axis=1, keepdims=True)
-    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    ce = -float(logp[idx, labels[idx]].mean())
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    ce = -(float(logp[idx, labels[idx]].sum()) / n_train)  # the mean, as np.mean divides
     # at beta = 0 the distance is not computed, but the zero term is still added:
     # it turns a -0.0 cross-entropy (every train node saturated) into 0.0
     loss = ce + 0.5 * beta * (params.sq_distance(anchor) if beta else 0.0)
@@ -208,7 +208,8 @@ def loss_and_grads(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndar
     grads = params.like(beta * (params.flat - anchor.flat))
     grads.W2 += emb.H1.T @ AdZ2
     grads.b2 += dZ2.sum(axis=0)
-    dZ1 = (AdZ2 @ params.W2.T) * (emb.H1 > 0)
+    dZ1 = AdZ2 @ params.W2.T
+    dZ1 *= emb.H1 > 0
     grads.W1 += emb.AX.T @ dZ1
     grads.b1 += dZ1.sum(axis=0)
     return loss, grads
