@@ -10,7 +10,6 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import networkx
 import numpy as np
 import scipy
 
@@ -413,8 +412,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             "config_path": config_path,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "tool_version": __version__,
-            "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
-                         "networkx": networkx.__version__},
+            "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
         },
         "config": to_dict(cfg),
         "seed": cfg.seed,

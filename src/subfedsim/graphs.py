@@ -8,7 +8,6 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 TRAIN = "train"
@@ -109,8 +108,12 @@ def _normalize_edges(raw: np.ndarray) -> np.ndarray:
     return e
 
 
-# Pairs drawn per `rng.random` call by `_sample_pairs`; bounds its memory.
-_PAIR_BLOCK = 2**20
+# Pairs drawn per `rng.random` call by `_sample_pairs`; bounds its memory (1 MB of
+# draws). Smaller blocks cost per-call overhead, and glibc sets its mmap and trim
+# thresholds from the largest block freed: at 2**16 (512 KB) they fall below the
+# temporaries of the default 500-node reference graph, and a 10-client CUFL run
+# takes ~10**5 more page faults in its rounds.
+_PAIR_BLOCK = 2**17
 
 
 def _sample_pairs(n: int, p_max: float, p_pair, rng: np.random.Generator) -> np.ndarray:
@@ -208,13 +211,6 @@ GENERATORS = {
     "er": lambda s, d_x, c, seed: generate_er(s.n, s.p, d_x, c, seed),
     "ba": lambda s, d_x, c, seed: generate_ba(s.n, s.m, d_x, c, seed),
 }
-
-
-def _to_networkx(g: Graph) -> nx.Graph:
-    G = nx.Graph()
-    G.add_nodes_from(range(g.num_nodes))
-    G.add_edges_from(map(tuple, g.edges))
-    return G
 
 
 def _csr(edges: np.ndarray, n: int) -> tuple:
@@ -359,6 +355,86 @@ def partition_bisection(g: Graph, K: int, seed: int) -> Partition:
     return Partition(_recursive_bisect(g, np.arange(g.num_nodes), K, rng))
 
 
+# networkx's default: a Louvain level is kept while modularity rises by more than this.
+_LOUVAIN_THRESHOLD = 1e-7
+
+
+def _louvain(edges: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Community id of each of n nodes by the Louvain method (Blondel et al. 2008).
+
+    Maximizes modularity at resolution 1, as networkx's `louvain_communities`
+    does. Each level moves single nodes, in a random order drawn from `seed`,
+    to the neighbouring community of highest gain until a pass moves none, then
+    merges every community into one node whose self-loop holds its internal
+    weight. Levels stop when one moves no node, or raises modularity by at most
+    `_LOUVAIN_THRESHOLD` (its moves are kept). The result depends on the
+    inputs alone.
+    """
+    rng = np.random.default_rng(seed)
+    member = np.arange(n)
+    m = float(edges.shape[0])
+    if m == 0:
+        return member
+    indptr, nbr = _csr(edges, n)
+    w, loops = np.ones(nbr.size), np.zeros(n)
+    deg = np.diff(indptr).astype(np.float64)
+    mod = -(deg @ deg) / (4 * m * m)
+    while True:
+        k = loops.size
+        src = np.repeat(np.arange(k), np.diff(indptr))
+        deg = np.bincount(src, w, k) + 2 * loops
+        com = _louvain_moves(indptr, nbr, w, deg, m, rng.permutation(k))
+        if com is None:
+            return member
+        ids, com = np.unique(com, return_inverse=True)
+        kc = ids.size
+        same = com[src] == com[nbr]
+        loops = np.bincount(com, loops, kc) + np.bincount(com[src[same]], w[same], kc) / 2
+        tot = np.bincount(com, deg, kc)
+        member = com[member]
+        new_mod = loops.sum() / m - (tot @ tot) / (4 * m * m)
+        if new_mod - mod <= _LOUVAIN_THRESHOLD:
+            return member
+        mod = new_mod
+        key, inv = np.unique(com[src[~same]] * kc + com[nbr[~same]], return_inverse=True)
+        w, nbr = np.bincount(inv, w[~same]), key % kc
+        indptr = np.zeros(kc + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key // kc, minlength=kc), out=indptr[1:])
+
+
+def _louvain_moves(indptr, nbr, w, deg, m: float, order: np.ndarray):
+    """One Louvain level's local moves over the weighted CSR graph (self-loops
+    counted in `deg` only), visiting nodes in `order` each pass. A node joins the
+    neighbouring community of highest gain, the first one met on ties, and
+    stays unless some gain beats staying. Returns each node's community (a
+    node id), or None if no node moved."""
+    ptr, nb, wt, deg = indptr.tolist(), nbr.tolist(), w.tolist(), deg.tolist()
+    adj = [list(zip(nb[ptr[u]:ptr[u + 1]], wt[ptr[u]:ptr[u + 1]])) for u in range(len(deg))]
+    com, tot = list(range(len(deg))), deg.copy()  # tot: degree sum of each community
+    half = 0.5 / m
+    order, moved, changed = order.tolist(), True, False
+    while moved:
+        moved = False
+        for u in order:
+            c, d = com[u], deg[u]
+            link = {}
+            for v, x in adj[u]:
+                cv = com[v]
+                link[cv] = link.get(cv, 0.0) + x
+            tot[c] -= d
+            # modularity gain of joining community b, times m and up to a shared term
+            best, best_gain = c, link.get(c, 0.0) - tot[c] * d * half
+            for b, x in link.items():
+                gain = x - tot[b] * d * half
+                if gain > best_gain:
+                    best, best_gain = b, gain
+            tot[best] += d
+            if best != c:
+                com[u] = best
+                moved = changed = True
+    return com if changed else None
+
+
 def partition_louvain_merge(g: Graph, K: int, seed: int) -> Partition:
     """Louvain communities randomly grouped down to exactly K parts."""
     if K < 1:
@@ -366,9 +442,10 @@ def partition_louvain_merge(g: Graph, K: int, seed: int) -> Partition:
     if K > g.num_nodes:
         raise ValueError("K must not exceed the number of nodes")
     rng = np.random.default_rng(seed)
-    comms = [sorted(c) for c in nx.algorithms.community.louvain_communities(
-        _to_networkx(g), seed=int(rng.integers(0, 2**31)))]
-    comms.sort()
+    labels = _louvain(g.edges, g.num_nodes, int(rng.integers(0, 2**31)))
+    by_label = np.argsort(labels, kind="stable")
+    comms = sorted(c.tolist() for c in
+                   np.split(by_label, np.flatnonzero(np.diff(labels[by_label])) + 1))
     # fewer communities than K: split the largest by bisection until we have enough
     while len(comms) < K:
         comms.sort(key=len, reverse=True)

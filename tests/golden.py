@@ -24,7 +24,6 @@ SRC = os.path.join(ROOT, "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-import networkx  # noqa: E402
 import numpy  # noqa: E402
 import scipy  # noqa: E402
 
@@ -59,7 +58,7 @@ def run_name(method: str, partition: str, seed: int, overrides: tuple = ()) -> s
 
 def fingerprint() -> dict:
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__, "networkx": networkx.__version__}
+            "scipy": scipy.__version__}
 
 
 def file_digest(path: str) -> str:

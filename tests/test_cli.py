@@ -1,7 +1,6 @@
 import json
 import shutil
 
-import networkx
 import numpy
 import pytest
 import scipy
@@ -298,8 +297,7 @@ class TestRun:
         manifest = json.loads((out / "summary.json").read_text())["manifest"]
         assert manifest["tool_version"] == subfedsim.__version__
         assert manifest["versions"] == {"numpy": numpy.__version__,
-                                        "scipy": scipy.__version__,
-                                        "networkx": networkx.__version__}
+                                        "scipy": scipy.__version__}
 
     def test_invalid_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,9 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -569,3 +573,24 @@ def test_readme_methods_table_matches_config():
     yes_no = {True: "yes", False: "no"}
     assert rows == {name: (yes_no[m.mask], yes_no[m.prox], aggregation[m.aggregation])
                     for name, m in config.METHODS.items()}
+
+
+def test_runs_do_not_import_networkx(tmp_path):
+    """A fresh interpreter builds, trains and writes runs on every generated
+    partition kind without loading networkx, which the package does not depend on."""
+    script = textwrap.dedent("""
+        import sys
+        from subfedsim import cli, config, experiment
+        for kind in ("bisection", "overlap", "louvain"):
+            cfg = config.ExperimentConfig(rounds=1)
+            cfg.partition.kind = kind
+            experiment.run_experiment(cfg, out_dir=sys.argv[1] + "/" + kind)
+        assert "networkx" not in sys.modules, "networkx was imported"
+    """)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["bisection", "louvain", "overlap"]

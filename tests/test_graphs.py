@@ -85,6 +85,14 @@ class TestGenerators:
         assert a == b
 
 
+def modularity(g, labels):
+    """Newman's modularity, resolution 1, of the partition given by node labels."""
+    m = g.num_edges
+    same = labels[g.edges[:, 0]] == labels[g.edges[:, 1]]
+    tot = np.bincount(labels, np.bincount(g.edges.ravel(), minlength=g.num_nodes))
+    return same.sum() / m - (tot @ tot) / (4 * m * m)
+
+
 def two_cliques(size=10, num=2, seed=0):
     """Disjoint cliques of `size` nodes each."""
     n = size * num
@@ -115,7 +123,7 @@ class TestPartitioners:
         assert np.flatnonzero(grown).tolist() == list(range(10))
 
     def test_bisection_without_networkx_kl(self, monkeypatch):
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
         g = graphs.generate_sbm(2, 200, 0.08, 0.005, 4, 2, seed=0)
         expected = graphs.partition_bisection(g, 10, seed=1).client_node_lists
 
@@ -173,6 +181,26 @@ class TestPartitioners:
         part = graphs.partition_louvain_merge(g, 4, seed=1)
         assert part.K == 4
         assert sorted(sum(part.client_node_lists, [])) == list(range(24))
+
+    def test_louvain_edgeless_graph_keeps_singletons(self):
+        g = graphs.generate_er(7, 0.0, 2, 2, seed=0)
+        assert graphs._louvain(g.edges, 7, seed=0).tolist() == list(range(7))
+        part = graphs.partition_louvain_merge(g, 3, seed=0)
+        assert sorted(map(len, part.client_node_lists)) == [2, 2, 3]
+        assert sorted(sum(part.client_node_lists, [])) == list(range(7))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_louvain_modularity_matches_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        g = graphs.generate_sbm(2, 200, 0.08, 0.005, 16, 2, seed=seed)
+        ours = modularity(g, graphs._louvain(g.edges, g.num_nodes, seed))
+        G = nx.Graph()
+        G.add_nodes_from(range(g.num_nodes))
+        G.add_edges_from(g.edges.tolist())
+        labels = np.zeros(g.num_nodes, dtype=np.int64)
+        for c, members in enumerate(nx.community.louvain_communities(G, seed=seed)):
+            labels[list(members)] = c
+        assert ours == pytest.approx(modularity(g, labels), abs=0.01)
 
     def test_overlap_counts_and_grouping(self):
         g = two_cliques(size=20, num=2)
@@ -546,6 +574,19 @@ class TestMatchesReference:
             assert n * (n - 1) // 2 > graphs._PAIR_BLOCK
         assert_same_graph_bytes(graphs.generate_er(n, p, 3, 3, seed),
                                 reference_generate_er(n, p, 3, 3, seed))
+
+    @pytest.mark.parametrize("block, kind, args", [
+        *((b, kind, args) for b in (1, 7, 2**10, 2**16, 2**20)
+          for kind, args in (("sbm", (3, 20, 0.2, 0.05)), ("er", (100, 0.05)))),
+        # 400 nodes, 79,800 pairs: one block at 2**20, two at 2**16, 78 at 2**10
+        *((b, kind, args) for b in (2**10, 2**16, 2**20)
+          for kind, args in (("sbm", (2, 200, 0.08, 0.005)), ("er", (400, 0.01)))),
+    ])
+    def test_pair_block_size_leaves_bytes_unchanged(self, monkeypatch, block, kind, args):
+        make, reference = {"sbm": (graphs.generate_sbm, reference_generate_sbm),
+                           "er": (graphs.generate_er, reference_generate_er)}[kind]
+        monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
+        assert_same_graph_bytes(make(*args, 3, 2, 1), reference(*args, 3, 2, 1))
 
     @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (50, 1), (100, 2), (500, 2), (300, 5)])
     @pytest.mark.parametrize("seed", [0, 1])
