@@ -8,6 +8,7 @@ import os
 import numpy as np
 
 from .experiment import bin_match_ratio, same_cluster_weight_proportion
+from .graphs import _convert, _read_csv
 
 
 class AnalysisError(ValueError):
@@ -26,7 +27,11 @@ def _load_summary(run_dir: str) -> dict:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    return np.loadtxt(_require(path), delimiter=",", ndmin=2)
+    _require(path)
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise AnalysisError(f"{path}: {exc}") from exc
 
 
 def weight_proportion_csv(run_dir: str) -> str:
@@ -44,9 +49,9 @@ def weight_proportion_csv(run_dir: str) -> str:
 
 
 def _load_recon(run_dir: str, t: int, client: int) -> np.ndarray:
-    path = _require(os.path.join(run_dir, f"refrecon_round_{t}_client_{client}.csv"))
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 2]
+    path = os.path.join(run_dir, f"refrecon_round_{t}_client_{client}.csv")
+    return np.array([_convert(path, lineno, float, fields)[2]
+                     for lineno, fields in _read_csv(path, "u,v,weight")])
 
 
 def bin_match_csv(run_dir: str, num_bins: int = 5) -> str:
@@ -68,20 +73,10 @@ def bin_match_csv(run_dir: str, num_bins: int = 5) -> str:
 
 def learning_curve_csv(run_dir: str) -> str:
     """Per-round test accuracy per client, copied from metrics.csv."""
-    path = _require(os.path.join(run_dir, "metrics.csv"))
     lines = ["round,test_acc,client"]
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < len(header):
-                raise AnalysisError(f"{path}:{lineno}: expected {len(header)} fields, "
-                                    f"got {len(parts)}")
-            lines.append(f"{parts[idx['round']]},{parts[idx['test_acc']]},{parts[idx['client']]}")
+    header = "round,client,train_loss,train_acc,val_acc,test_acc"
+    for _, fields in _read_csv(os.path.join(run_dir, "metrics.csv"), header, exact=False):
+        lines.append(f"{fields[0]},{fields[5]},{fields[1]}")
     return "\n".join(lines) + "\n"
 
 

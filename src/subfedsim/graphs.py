@@ -552,39 +552,56 @@ def save_graph_dir(g: Graph, path: str):
             f.write(f"{u},{v}\n")
 
 
+def _read_csv(path: str, header: str, exact: bool = True):
+    """Yield `(line number, fields)` for each non-blank row of a CSV file.
+
+    The file is UTF-8 with or without a BOM, with LF or CRLF line ends. Its
+    header must equal `header`, or with `exact=False` start with its columns,
+    and every row must have as many fields as the header.
+    """
+    if not os.path.isfile(path):
+        raise GraphParseError(f"{path}: missing file")
+    want = header.split(",")
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        cols = f.readline().rstrip("\r\n").split(",")
+        if (cols if exact else cols[:len(want)]) != want:
+            raise GraphParseError(f"{path}:1: expected header '{header}{'' if exact else ',..'}'")
+        for lineno, line in enumerate(f, start=2):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != len(cols):
+                raise GraphParseError(f"{path}:{lineno}: expected {len(cols)} fields, "
+                                      f"got {len(fields)}")
+            yield lineno, fields
+
+
+def _convert(path: str, lineno: int, fn, fields: list) -> list:
+    """`fn` applied to each field; a field it rejects names `path:lineno`."""
+    try:
+        return [fn(x) for x in fields]
+    except ValueError as exc:
+        raise GraphParseError(f"{path}:{lineno}: {exc}") from exc
+
+
 def load_graph_dir(path: str) -> Graph:
     """Load a graph directory; directed edge rows are symmetrized."""
     nodes_path = os.path.join(path, "nodes.csv")
     edges_path = os.path.join(path, "edges.csv")
-    for p in (nodes_path, edges_path):
-        if not os.path.isfile(p):
-            raise GraphParseError(f"{p}: missing file")
     ids, labels, feats = [], [], []
-    with open(nodes_path, newline="") as f:
-        header = f.readline().rstrip("\n")
-        cols = header.split(",")
-        if cols[:2] != ["id", "label"]:
-            raise GraphParseError(f"{nodes_path}:1: expected header 'id,label,f0..'")
-        d = len(cols) - 2
-        if d < 1:
+    for lineno, fields in _read_csv(nodes_path, "id,label", exact=False):
+        if len(fields) == 2:  # every row is as wide as the header
             raise GraphParseError(f"{nodes_path}:1: expected at least one feature column")
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2 + d:
-                raise GraphParseError(f"{nodes_path}:{lineno}: expected {2 + d} fields, got {len(parts)}")
-            try:
-                ids.append(int(parts[0]))
-                labels.append(int(parts[1]))
-                feats.append([float(x) for x in parts[2:]])
-            except ValueError as exc:
-                raise GraphParseError(f"{nodes_path}:{lineno}: {exc}") from exc
-            if labels[-1] < 0:
-                raise GraphParseError(f"{nodes_path}:{lineno}: label must be >= 0")
-            if not all(map(math.isfinite, feats[-1])):
-                raise GraphParseError(f"{nodes_path}:{lineno}: features must be finite")
+        i, label = _convert(nodes_path, lineno, int, fields[:2])
+        row = _convert(nodes_path, lineno, float, fields[2:])
+        if label < 0:
+            raise GraphParseError(f"{nodes_path}:{lineno}: label must be >= 0")
+        if not all(map(math.isfinite, row)):
+            raise GraphParseError(f"{nodes_path}:{lineno}: features must be finite")
+        ids.append(i)
+        labels.append(label)
+        feats.append(row)
     n = len(ids)
     if n == 0:
         raise GraphParseError(f"{nodes_path}: no node rows")
@@ -594,24 +611,11 @@ def load_graph_dir(path: str) -> Graph:
     features = np.asarray(feats, dtype=np.float64)[order]
     labels_arr = np.asarray(labels, dtype=np.int64)[order]
     raw_edges = []
-    with open(edges_path, newline="") as f:
-        header = f.readline().rstrip("\n")
-        if header.split(",") != ["src", "dst"]:
-            raise GraphParseError(f"{edges_path}:1: expected header 'src,dst'")
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise GraphParseError(f"{edges_path}:{lineno}: expected 2 fields")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphParseError(f"{edges_path}:{lineno}: {exc}") from exc
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphParseError(f"{edges_path}:{lineno}: endpoint out of range")
-            raw_edges.append((u, v))
+    for lineno, fields in _read_csv(edges_path, "src,dst"):
+        u, v = _convert(edges_path, lineno, int, fields)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphParseError(f"{edges_path}:{lineno}: endpoint out of range")
+        raw_edges.append((u, v))
     edges = _normalize_edges(np.array(raw_edges, dtype=np.int64))
     num_classes = int(labels_arr.max()) + 1
     g = Graph(n, features, labels_arr, edges, num_classes)
@@ -621,41 +625,26 @@ def load_graph_dir(path: str) -> Graph:
 
 def load_partition_csv(path: str, num_nodes: int) -> Partition:
     """Read a `node,client` CSV (e.g. external METIS output) as a Partition."""
-    if not os.path.isfile(path):
-        raise GraphParseError(f"{path}: missing file")
     assignment = [None] * num_nodes
-    with open(path, newline="") as f:
-        header = f.readline().rstrip("\n")
-        if header.split(",") != ["node", "client"]:
-            raise GraphParseError(f"{path}:1: expected header 'node,client'")
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise GraphParseError(f"{path}:{lineno}: expected 2 fields")
-            try:
-                u, c = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphParseError(f"{path}:{lineno}: {exc}") from exc
-            if not 0 <= u < num_nodes:
-                raise GraphParseError(f"{path}:{lineno}: node id out of range")
-            if c < 0:
-                raise GraphParseError(f"{path}:{lineno}: client id must be >= 0")
-            if assignment[u] is not None:
-                raise GraphParseError(f"{path}:{lineno}: node {u} is listed twice")
-            assignment[u] = c
-    clients = [c for c in assignment if c is not None]
+    for lineno, fields in _read_csv(path, "node,client"):
+        u, c = _convert(path, lineno, int, fields)
+        if not 0 <= u < num_nodes:
+            raise GraphParseError(f"{path}:{lineno}: node id out of range")
+        if c < 0:
+            raise GraphParseError(f"{path}:{lineno}: client id must be >= 0")
+        if assignment[u] is not None:
+            raise GraphParseError(f"{path}:{lineno}: node {u} is listed twice")
+        assignment[u] = c
+    clients = set(assignment) - {None}
     if not clients:
         raise GraphParseError(f"{path}: no node,client rows")
     K = max(clients) + 1
+    if len(clients) != K:  # the first gap is found before any per-client list exists
+        gap = next(c for c in range(K) if c not in clients)
+        raise GraphParseError(f"{path}: client ids must run 0..{K - 1} without gaps; "
+                              f"client {gap} has no nodes")
     lists = [[] for _ in range(K)]
     for u, c in enumerate(assignment):
         if c is not None:
             lists[c].append(u)
-    empty = [c for c in range(K) if not lists[c]]
-    if empty:
-        raise GraphParseError(f"{path}: client ids must run 0..{K - 1} without gaps; "
-                              f"client {empty[0]} has no nodes")
     return Partition(lists)

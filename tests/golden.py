@@ -12,6 +12,8 @@ and say why in CHANGES.md.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -56,9 +58,27 @@ def run_name(method: str, partition: str, seed: int, overrides: tuple = ()) -> s
     return "-".join((f"{method}-{partition}-seed{seed}", *overrides))
 
 
+def blas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS chose for this CPU, or "unknown".
+
+    The golden bytes depend on it: the same versions give other digests under
+    another kernel (e.g. `OPENBLAS_CORETYPE=Haswell` on an AVX-512 machine).
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
 def fingerprint() -> dict:
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy.__version__, "blas_core": blas_core()}
 
 
 def file_digest(path: str) -> str:

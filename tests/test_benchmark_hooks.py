@@ -1,0 +1,42 @@
+"""The benchmark's tracer and round hook still find what they read in the package.
+
+perfbench/ is not collected here, so without this test a renamed function or
+parameter that its hooks bind by name would fail every traced benchmark
+repetition while tier-1 stayed green.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_traced_cufl_run_reaches_every_hook(tmp_path):
+    out = tmp_path / "run"
+    # a subprocess, because the tracer replaces the package's module attributes
+    code = textwrap.dedent(f"""
+        import json, sys
+        sys.path[:0] = [{os.path.join(ROOT, 'src')!r}, {os.path.join(ROOT, 'perfbench')!r}]
+        import worker
+        from subfedsim import experiment
+        from subfedsim.config import ExperimentConfig
+        from tracer import Tracer
+        tr = Tracer("hooks")
+        tr.install("subfedsim", {str(out)!r})
+        starts = []
+        worker._hook_round_starts(experiment, starts)
+        experiment.run_experiment(ExperimentConfig(rounds=2, num_clients=2),
+                                  out_dir={str(out)!r})
+        print(json.dumps({{"starts": len(starts), **tr.layer_metrics()}}))
+    """)
+    stdout = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120, check=True).stdout
+    m = json.loads(stdout.strip().splitlines()[-1])
+    assert m["starts"] == 2
+    assert m["gcn.forward.calls"] > 0
+    assert m["ies.reconstruct.calls"] > 0
+    assert m["server.similarity_matrix.pairs"] == 2  # one client pair in each of 2 rounds
+    assert m["experiment.artifacts.files"] > 0

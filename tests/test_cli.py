@@ -333,6 +333,36 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"metrics.csv:{lineno}: expected" in err
 
+    @pytest.mark.parametrize("encode", [
+        lambda text: text.replace("\n", "\r\n").encode(),
+        lambda text: b"\xef\xbb\xbf" + text.encode(),
+    ], ids=["crlf", "bom"])
+    def test_learning_curve_reads_crlf_and_bom_like_lf(self, run_dir, tmp_path, capsys,
+                                                       encode):
+        other = tmp_path / "other"
+        shutil.copytree(run_dir, other)
+        (other / "metrics.csv").write_bytes(encode((other / "metrics.csv").read_text()))
+        assert run_cli("analyze", "learning-curve", str(run_dir)) == 0
+        want = capsys.readouterr().out
+        assert run_cli("analyze", "learning-curve", str(other)) == 0
+        assert capsys.readouterr().out == want
+
+    def test_bin_match_names_malformed_recon_line(self, run_dir, tmp_path, capsys):
+        bad = tmp_path / "bad-recon"
+        shutil.copytree(run_dir, bad)
+        (bad / "refrecon_round_1_client_0.csv").write_text("u,v,weight\n0,1,abc\n")
+        assert run_cli("analyze", "bin-match", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "refrecon_round_1_client_0.csv:2: " in err
+
+    def test_weight_proportion_names_ragged_matrix(self, run_dir, tmp_path, capsys):
+        bad = tmp_path / "ragged"
+        shutil.copytree(run_dir, bad)
+        (bad / "similarity_round_2.csv").write_text("1.0,0.5\n0.5\n")
+        assert run_cli("analyze", "weight-proportion", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "similarity_round_2.csv: " in err
+
     def test_weight_proportion_to_file(self, run_dir, tmp_path):
         dest = tmp_path / "prop.csv"
         assert run_cli("analyze", "weight-proportion", str(run_dir),

@@ -1,6 +1,10 @@
 """Every byte-stable file of 35 short runs matches the digest in golden.json."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import pytest
 
@@ -29,3 +33,15 @@ def test_run_matches_golden(tmp_path, run):
         f"{name}: files {sorted(set(got) ^ set(want))} differ in presence; {note}"
     bad = [f for f in want if got[f] != want[f]]
     assert not bad, f"{name}: {bad} differ from golden.json; {note}"
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                    or golden.blas_core() == "unknown",
+                    reason="needs numpy's bundled OpenBLAS on x86-64")
+def test_fingerprint_reads_the_kernel_the_process_selected():
+    # Nehalem (SSE4.2) runs on any x86-64 this test would meet
+    code = "import golden; print(golden.fingerprint()['blas_core'])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True, cwd=os.path.dirname(golden.GOLDEN_PATH),
+                         env=dict(os.environ, OPENBLAS_CORETYPE="Nehalem")).stdout
+    assert out.strip() == "Nehalem"

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,6 +390,37 @@ class TestGraphDir:
         path.write_text("node,client\n0,0\n1,2\n2,2\n")
         with pytest.raises(graphs.GraphParseError, match=r"partition\.csv: .*client 1 has no"):
             graphs.load_partition_csv(str(path), 3)
+
+    def test_partition_csv_far_client_gap_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "partition.csv"
+        path.write_text("node,client\n0,0\n1,1000000\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(graphs.GraphParseError,
+                               match=r"partition\.csv: .*0\.\.1000000 .*client 1 has no"):
+                graphs.load_partition_csv(str(path), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("encode", [
+        lambda text: text.replace("\n", "\r\n").encode(),
+        lambda text: b"\xef\xbb\xbf" + text.encode(),
+    ], ids=["crlf", "bom"])
+    def test_crlf_and_bom_files_load_like_lf(self, tmp_path, encode):
+        g = graphs.generate_er(6, 0.5, 3, 2, seed=0)
+        graphs.save_graph_dir(g, str(tmp_path))
+        for name in ("nodes.csv", "edges.csv"):
+            path = tmp_path / name
+            path.write_bytes(encode(path.read_text()))
+        assert graphs.load_graph_dir(str(tmp_path)) == g
+        text = "node,client\n0,1\n1,0\n\n2,1\n"
+        lf, other = tmp_path / "lf.csv", tmp_path / "partition.csv"
+        lf.write_text(text)
+        other.write_bytes(encode(text))
+        assert (graphs.load_partition_csv(str(other), 3).client_node_lists
+                == graphs.load_partition_csv(str(lf), 3).client_node_lists)
 
 
 class TestInducedSubgraphs:
