@@ -22,8 +22,21 @@ def _require(path: str):
 
 
 def _load_summary(run_dir: str) -> dict:
-    with open(_require(os.path.join(run_dir, "summary.json"))) as f:
-        return json.load(f)
+    path = _require(os.path.join(run_dir, "summary.json"))
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise AnalysisError(f"{path}: {exc}") from exc
+
+
+def _config_value(run_dir: str, summary: dict, key: str):
+    """`summary["config"][key]`, or an error naming the key and the file."""
+    try:
+        return summary["config"][key]
+    except (KeyError, TypeError):
+        path = os.path.join(run_dir, "summary.json")
+        raise AnalysisError(f"{path} has no config.{key}") from None
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -40,7 +53,7 @@ def weight_proportion_csv(run_dir: str) -> str:
     clusters = summary.get("clusters")
     if clusters is None:
         raise AnalysisError(f"run {run_dir} has no cluster ground truth in summary.json")
-    rounds = summary["config"]["rounds"]
+    rounds = _config_value(run_dir, summary, "rounds")
     lines = ["round,proportion"]
     for t in range(1, rounds + 1):
         sim = _load_matrix(os.path.join(run_dir, f"similarity_round_{t}.csv"))
@@ -48,8 +61,7 @@ def weight_proportion_csv(run_dir: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_recon(run_dir: str, t: int, client: int) -> np.ndarray:
-    path = os.path.join(run_dir, f"refrecon_round_{t}_client_{client}.csv")
+def _load_recon(path: str) -> np.ndarray:
     return np.array([_convert(path, lineno, float, fields)[2]
                      for lineno, fields in _read_csv(path, "u,v,weight")])
 
@@ -57,14 +69,17 @@ def _load_recon(run_dir: str, t: int, client: int) -> np.ndarray:
 def bin_match_csv(run_dir: str, num_bins: int = 5) -> str:
     """Bin-match of each client's earliest vs latest dumped reference reconstruction."""
     summary = _load_summary(run_dir)
-    rounds = summary["config"]["rounds"]
-    K = summary["config"]["num_clients"]
+    rounds = _config_value(run_dir, summary, "rounds")
+    K = _config_value(run_dir, summary, "num_clients")
     dump_rounds = summary["config"].get("dump_rounds") or [1, rounds]
     t0, t1 = min(dump_rounds), max(dump_rounds)
     lines = ["bin,ratio,client"]
     for k in range(K):
-        ref = _load_recon(run_dir, t0, k)
-        other = _load_recon(run_dir, t1, k)
+        paths = [os.path.join(run_dir, f"refrecon_round_{t}_client_{k}.csv") for t in (t0, t1)]
+        ref, other = map(_load_recon, paths)
+        if ref.size != other.size:
+            raise AnalysisError(f"{paths[0]} has {ref.size} edges but {paths[1]} has "
+                                f"{other.size}; reconstructions must share the edge list")
         ratios = bin_match_ratio(ref, other, num_bins)
         for b, r in enumerate(ratios):
             lines.append(f"{b},{'' if np.isnan(r) else repr(float(r))},{k}")

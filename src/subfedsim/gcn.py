@@ -2,11 +2,86 @@
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
+
+
+def _load_csr_matvecs():
+    """scipy's compiled CSR x dense kernel, the one `csr_matrix @ ndarray` calls.
+
+    The extension `scipy/sparse/_sparsetools` is loaded on its own: importing
+    `scipy.sparse` costs ~22 MB of memory, the extension ~1 MB. Its file is
+    found through the import system's spec of `scipy`, which runs no scipy
+    code; only where no such file exists is it imported the usual way.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                return _load_extension("scipy.sparse._sparsetools", path).csr_matvecs
+    from scipy.sparse._sparsetools import csr_matvecs
+    return csr_matvecs
+
+
+def _load_extension(name: str, path: str):
+    """The extension module `name` from `path`, left out of `sys.modules`.
+
+    Loading registers the module under `name`. Without its parent package
+    there, a later `import scipy.sparse` would find it and not set the
+    package's `_sparsetools` attribute, so an entry this call made is removed.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
+_csr_matvecs = _load_csr_matvecs()
+
+
+class CsrMatrix:
+    """A float64 matrix in CSR form: `data`, int32 `indices` and `indptr`, `shape`.
+
+    `A @ x` multiplies a dense 2-D array with scipy's `csr_matvecs` into a
+    zeroed C-contiguous output, as `scipy.sparse.csr_matrix @ x` does, so the
+    bytes are the same.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                 shape: tuple):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        np.add.at(out, (rows, self.indices), self.data)
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        M, N = self.shape
+        if x.ndim != 2 or x.shape[0] != N:
+            raise ValueError(f"cannot multiply a {M}x{N} matrix by an array of shape {x.shape}")
+        out = np.zeros((M, x.shape[1]))
+        _csr_matvecs(M, N, x.shape[1], self.indptr, self.indices, self.data, x.ravel(),
+                     out.ravel())
+        return out
 
 
 class GcnParams:
@@ -96,7 +171,9 @@ class Adjacency:
 
     The sorted CSR pattern of A + I and the slots each edge weight fills are
     built once; `normalized` only refills values. The arithmetic is that of
-    the sparse product D @ A @ D, so results are bit-identical to it.
+    the sparse product D @ A @ D, so results are bit-identical to it. The
+    pattern's `indices` and `indptr` are read-only and shared by every result
+    that drops no entry.
     """
 
     def __init__(self, edges: np.ndarray, num_nodes: int):
@@ -119,10 +196,11 @@ class Adjacency:
         self.shape = (n, n)
         self.indptr = np.searchsorted(rows[order], np.arange(n + 1)).astype(np.int32)
         self.indices = cols[order].astype(np.int32)
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
         self._row = rows[order]
         self._fwd, self._bwd, self._diag = slot[:E], slot[E:2 * E], slot[2 * E:]
 
-    def normalized(self, mask_weights: np.ndarray) -> sp.csr_matrix:
+    def normalized(self, mask_weights: np.ndarray) -> CsrMatrix:
         """The normalized adjacency with edge weights `mask_weights`."""
         w = np.asarray(mask_weights, dtype=np.float64)
         if w.shape[0] != self.num_edges:
@@ -139,13 +217,15 @@ class Adjacency:
         deg = np.add.reduceat(vals, self.indptr[:-1])  # A.sum(axis=1); no row is empty
         dinv = 1.0 / np.sqrt(deg)
         data = (dinv[self._row] * vals) * dinv[self.indices]
-        out = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
-                            shape=self.shape)
-        out.eliminate_zeros()  # the sparse product drops zero products
-        return out
+        keep = data != 0  # the sparse product drops zero products, as eliminate_zeros does
+        if keep.all():
+            return CsrMatrix(data, self.indices, self.indptr, self.shape)
+        indptr = np.zeros(self.shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self._row[keep], minlength=self.shape[0]), out=indptr[1:])
+        return CsrMatrix(data[keep], self.indices[keep], indptr, self.shape)
 
     @cached_property
-    def unmasked(self) -> sp.csr_matrix:
+    def unmasked(self) -> CsrMatrix:
         """The all-ones normalized adjacency, computed once; its arrays are read-only."""
         adj = self.normalized(np.ones(self.num_edges))
         for a in (adj.data, adj.indices, adj.indptr):
@@ -154,12 +234,12 @@ class Adjacency:
 
 
 def normalize_masked_adjacency(edges: np.ndarray, mask_weights: np.ndarray,
-                               num_nodes: int) -> sp.csr_matrix:
+                               num_nodes: int) -> CsrMatrix:
     """Symmetric normalization D^{-1/2} (S*A + I) D^{-1/2} over mask-weighted edges."""
     return Adjacency(edges, num_nodes).normalized(mask_weights)
 
 
-def forward(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndarray,
+def forward(params: GcnParams, norm_adj: CsrMatrix, features: np.ndarray,
             AX: np.ndarray | None = None) -> Embeddings:
     """H1 = ReLU((A X) W1 + b1); logits H2 = A (H1 W2) + b2.
 
@@ -180,7 +260,7 @@ def forward(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndarray,
     return Embeddings(H1=H1, H2=H2, AX=AX)
 
 
-def loss_and_grads(params: GcnParams, norm_adj: sp.csr_matrix, features: np.ndarray,
+def loss_and_grads(params: GcnParams, norm_adj: CsrMatrix, features: np.ndarray,
                    labels: np.ndarray, train_mask: np.ndarray,
                    anchor: GcnParams, beta: float, AX: np.ndarray | None = None):
     """Mean train cross-entropy plus (beta/2)||params - anchor||^2, with exact gradients.

@@ -9,6 +9,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy 2 loads numpy.random lazily, at the first default_rng of a run; load it with the package
+import numpy.random  # noqa: F401
 
 TRAIN = "train"
 VAL = "val"
@@ -259,7 +261,8 @@ def _kernighan_lin(indptr: np.ndarray, indices: np.ndarray, first: np.ndarray) -
     n = indptr.size - 1
     deg = np.diff(indptr)
     rows = np.repeat(np.arange(n), deg)
-    ind, ptr = indices.tolist(), indptr.tolist()
+    # the lists share one int object per node, not one per entry
+    ind, ptr = np.array(range(n), dtype=object)[indices].tolist(), indptr.tolist()
     nbrs = [ind[ptr[u]:ptr[u + 1]] for u in range(n)]
     max_deg = int(deg.max(initial=0))
     side = np.array(first, dtype=bool)

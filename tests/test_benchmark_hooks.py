@@ -40,3 +40,7 @@ def test_traced_cufl_run_reaches_every_hook(tmp_path):
     assert m["ies.reconstruct.calls"] > 0
     assert m["server.similarity_matrix.pairs"] == 2  # one client pair in each of 2 rounds
     assert m["experiment.artifacts.files"] > 0
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        declared = {entry["name"] for entry in json.load(f)["per_layer"]}
+    # run.py computes the overhead share from a traced and an untraced run
+    assert sorted(declared - {"trace.overhead_share"} - set(m)) == []

@@ -355,6 +355,37 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "refrecon_round_1_client_0.csv:2: " in err
 
+    def test_bin_match_names_malformed_summary(self, run_dir, tmp_path, capsys):
+        bad = tmp_path / "bad-summary"
+        shutil.copytree(run_dir, bad)
+        (bad / "summary.json").write_text("{\n")
+        assert run_cli("analyze", "bin-match", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "summary.json: Expecting property name" in err
+
+    @pytest.mark.parametrize("key", ["rounds", "num_clients"])
+    def test_bin_match_names_missing_config_key(self, run_dir, tmp_path, capsys, key):
+        bad = tmp_path / "no-key"
+        shutil.copytree(run_dir, bad)
+        summary = json.loads((bad / "summary.json").read_text())
+        del summary["config"][key]
+        (bad / "summary.json").write_text(json.dumps(summary))
+        assert run_cli("analyze", "bin-match", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"summary.json has no config.{key}" in err
+
+    def test_bin_match_names_both_recon_files_of_unequal_length(self, run_dir, tmp_path,
+                                                                 capsys):
+        bad = tmp_path / "short-recon"
+        shutil.copytree(run_dir, bad)
+        path = bad / "refrecon_round_2_client_0.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+        assert run_cli("analyze", "bin-match", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "refrecon_round_1_client_0.csv has" in err
+        assert "refrecon_round_2_client_0.csv has 2" in err
+
     def test_weight_proportion_names_ragged_matrix(self, run_dir, tmp_path, capsys):
         bad = tmp_path / "ragged"
         shutil.copytree(run_dir, bad)

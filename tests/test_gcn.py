@@ -1,4 +1,9 @@
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -73,7 +78,7 @@ def reference_normalize(edges, mask_weights, num_nodes):
 
 
 def assert_same_csr(a, b):
-    assert type(a) is type(b) and a.shape == b.shape
+    assert a.shape == b.shape
     for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
@@ -132,6 +137,108 @@ class TestAdjacency:
         for a in (first.data, first.indices, first.indptr):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+def random_csr(seed, M, N, density=0.2):
+    """CSR arrays of a random M x N matrix whose rows are empty with probability 0.3."""
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((M, N)) * (rng.random((M, N)) < density)
+    dense[rng.random(M) < 0.3] = 0.0
+    ref = sp.csr_matrix(dense)
+    assert np.diff(ref.indptr).min() == 0  # at least one empty row
+    return ref.data, ref.indices.astype(np.int32), ref.indptr.astype(np.int32), (M, N)
+
+
+class TestCsrMatrix:
+    """The package's CSR type runs scipy's kernel and gives scipy's bytes."""
+
+    @pytest.mark.parametrize("width", [1, 2, 16, 128])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    def test_product_matches_scipy_bytes(self, width, layout):
+        for seed in range(3):
+            data, indices, indptr, shape = random_csr(seed, 37, 23)
+            x = np.random.default_rng(seed + 10).standard_normal((shape[1], 2 * width))
+            x = {"c": np.ascontiguousarray(x[:, :width]), "fortran": np.asfortranarray(
+                x[:, :width]), "strided": x[:, ::2]}[layout]
+            want = sp.csr_matrix((data, indices, indptr), shape) @ x
+            got = gcn.CsrMatrix(data, indices, indptr, shape) @ x
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    def test_fallback_loader_gives_the_same_bytes(self, monkeypatch):
+        data, indices, indptr, shape = random_csr(3, 40, 40)
+        x = np.random.default_rng(4).standard_normal((40, 16))
+        want = gcn.CsrMatrix(data, indices, indptr, shape) @ x
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        kernel = gcn._load_csr_matvecs()
+        assert kernel is sp._sparsetools.csr_matvecs
+        monkeypatch.setattr(gcn, "_csr_matvecs", kernel)
+        assert (gcn.CsrMatrix(data, indices, indptr, shape) @ x).tobytes() == want.tobytes()
+
+    def test_nnz_and_toarray(self):
+        data, indices, indptr, shape = random_csr(5, 12, 9)
+        a = gcn.CsrMatrix(data, indices, indptr, shape)
+        assert a.nnz == data.size
+        assert np.array_equal(a.toarray(), sp.csr_matrix((data, indices, indptr), shape).toarray())
+
+    def test_shape_mismatch_rejected(self):
+        a = gcn.CsrMatrix(*random_csr(6, 5, 4))
+        for x in (np.zeros((5, 2)), np.zeros(4), np.zeros((4, 2, 1))):
+            with pytest.raises(ValueError):
+                a @ x
+
+    @pytest.mark.parametrize("zero_share", [0.3, 1.0])
+    def test_zero_weights_compress_as_eliminate_zeros(self, zero_share):
+        """Dropping zeros equals scipy's in-place `eliminate_zeros` on the full pattern."""
+        rng = np.random.default_rng(11)
+        n = 30
+        edges = np.array([(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.2])
+        w = rng.random(len(edges))
+        w[rng.random(len(edges)) < zero_share] = 0.0
+        rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
+        cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
+        full = sp.csr_matrix((np.concatenate([w, w, np.ones(n)]), (rows, cols)), shape=(n, n))
+        assert full.nnz == rows.size  # the zero weights are stored
+        dinv = 1.0 / np.sqrt(np.add.reduceat(full.data, full.indptr[:-1]))
+        row = np.repeat(np.arange(n), np.diff(full.indptr))
+        full.data = (dinv[row] * full.data) * dinv[full.indices]
+        full.eliminate_zeros()
+        assert_same_csr(gcn.Adjacency(edges, n).normalized(w), full)
+
+
+def test_a_run_loads_no_sparse_package_and_imports_nothing_new(tmp_path):
+    """`scipy.sparse` stays out of the process, and a run imports no module lazily."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {os.path.join(root, "src")!r})
+        import subfedsim.cli
+        before = set(sys.modules)
+        assert subfedsim.cli.main(["run", "--set", "rounds=2", "--set", "num_clients=2",
+                                   "--out", {str(tmp_path / "run")!r}]) == 0
+        print(sorted(set(sys.modules) - before), "scipy.sparse" in sys.modules)
+        import scipy.sparse  # imported after the kernel, it still binds its own extension
+        print(scipy.sparse._sparsetools.csr_matvecs is subfedsim.gcn._csr_matvecs)
+    """)
+    stdout = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120, check=True).stdout
+    assert stdout.splitlines()[-2:] == ["[] False", "True"]
+
+
+def test_kernel_loaded_after_scipy_sparse_keeps_its_registration():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {os.path.join(root, "src")!r})
+        import scipy.sparse
+        from subfedsim import gcn
+        ext = sys.modules["scipy.sparse._sparsetools"]
+        print(ext is scipy.sparse._sparsetools, gcn._csr_matvecs is ext.csr_matvecs)
+    """)
+    stdout = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60, check=True).stdout
+    assert stdout.splitlines()[-1] == "True True"
 
 
 class TestForward:
