@@ -17,7 +17,7 @@ class AnalysisError(ValueError):
 
 def _require(path: str):
     if not os.path.isfile(path):
-        raise AnalysisError(f"missing artifact file {path}")
+        raise AnalysisError(f"{path}: missing file")  # as graphs._read_csv says it
     return path
 
 

@@ -277,9 +277,8 @@ def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams) -> g
         st.mask = ies.warmup_mask(st.graph, st.adjacency, pretrained, lam, cfg.ies.gamma,
                                   cfg.ies.lr_train, cfg.warmup.steps,
                                   cfg.ies.init_value, use_logits)
-        st.params = init_params.copy()
-        st.trained = init_params.copy()
-        st.adam = gcn.init_adam(st.params)
+        st.params = st.trained = init_params
+        st.adam = gcn.init_adam(init_params)
     return pretrained
 
 
@@ -344,7 +343,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                                tau_max=cfg.fed.tau_max)
         states.append(ClientState(
             client_id=k, graph=sub, split=split,
-            params=init_p.copy(), trained=init_p.copy(),
+            params=init_p, trained=init_p,
             mask=np.full(sub.num_edges, float(cfg.ies.init_value)),
             adam=gcn.init_adam(init_p), tau_state=tau0))
 
@@ -369,10 +368,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         elif method.aggregation == "mean":
             global_p = _size_weighted_mean(states)
             for st in states:
-                st.params = global_p.copy()
+                st.params = global_p
         else:  # "none": each client keeps its own model
             for st in states:
-                st.params = st.trained.copy()
+                st.params = st.trained
 
         metrics = [_client_metrics(st, st.trained, loss, tau)
                    for st, loss, tau in zip(states, losses, taus)]
@@ -403,9 +402,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     def _stats(key):
         vals = np.array([m[key] for m in final], dtype=np.float64)
         vals = vals[np.isfinite(vals)]
-        mean = float(vals.mean()) if vals.size else None
-        std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-        return mean, std
+        if not vals.size:  # no client has a node in this split
+            return None, None
+        return float(vals.mean()), float(vals.std(ddof=1)) if vals.size > 1 else 0.0
 
     summary = {
         "manifest": {

@@ -85,7 +85,12 @@ class CsrMatrix:
 
 
 class GcnParams:
-    """GCN weights held in one float64 vector `flat`; W1, b1, W2, b2 are views into it."""
+    """GCN weights held in one float64 vector `flat`; W1, b1, W2, b2 are views into it.
+
+    A model is a value: `adam_step` and `weighted_sum` return a fresh read-only
+    `flat`, so every view is read-only too, and stages share models rather
+    than copy them.
+    """
 
     _NAMES = ("W1", "b1", "W2", "b2")
 
@@ -107,9 +112,6 @@ class GcnParams:
         out._bind(flat, self._layout)
         return out
 
-    def copy(self) -> "GcnParams":
-        return self.like(self.flat.copy())
-
     def tensors(self):
         return tuple((name, getattr(self, name)) for name in self._NAMES)
 
@@ -124,10 +126,11 @@ class GcnParams:
 
 
 def weighted_sum(weights, params: list) -> GcnParams:
-    """sum_k weights[k] * params[k], accumulated in list order."""
+    """sum_k weights[k] * params[k], accumulated in list order; read-only."""
     acc = np.zeros_like(params[0].flat)
     for w, p in zip(weights, params):
         acc += w * p.flat
+    acc.flags.writeable = False
     return params[0].like(acc)
 
 
@@ -143,8 +146,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates, offse
 
 @dataclass
 class AdamState:
-    m: GcnParams
-    v: GcnParams
+    m: np.ndarray  # first moment, laid out as GcnParams.flat
+    v: np.ndarray  # second moment, likewise
     step: int = 0
 
 
@@ -162,8 +165,7 @@ def init_params(d_x: int, hidden: int, num_classes: int, seed: int) -> GcnParams
 
 
 def init_adam(params: GcnParams) -> AdamState:
-    return AdamState(m=params.like(np.zeros_like(params.flat)),
-                     v=params.like(np.zeros_like(params.flat)))
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 class Adjacency:
@@ -296,7 +298,7 @@ def loss_and_grads(params: GcnParams, norm_adj: CsrMatrix, features: np.ndarray,
 
 
 def adam_step(params: GcnParams, grads: GcnParams, state: AdamState, lr: float):
-    """Bias-corrected Adam update; returns (new_params, new_state)."""
+    """Bias-corrected Adam update; returns (new_params, new_state), new_params read-only."""
     name = grads.nonfinite_tensor()
     if name is not None:
         raise ValueError(f"non-finite gradient in tensor {name}")
@@ -306,11 +308,11 @@ def adam_step(params: GcnParams, grads: GcnParams, state: AdamState, lr: float):
     # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
     # new = p - (lr*(m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps)
     tmp = np.multiply(g, 1 - ADAM_BETA1)
-    m = np.multiply(state.m.flat, ADAM_BETA1)
+    m = np.multiply(state.m, ADAM_BETA1)
     m += tmp
     np.multiply(g, 1 - ADAM_BETA2, out=tmp)
     tmp *= g
-    v = np.multiply(state.v.flat, ADAM_BETA2)
+    v = np.multiply(state.v, ADAM_BETA2)
     v += tmp
     np.divide(v, 1 - ADAM_BETA2 ** t, out=tmp)
     np.sqrt(tmp, out=tmp)
@@ -319,7 +321,8 @@ def adam_step(params: GcnParams, grads: GcnParams, state: AdamState, lr: float):
     new_p *= lr
     new_p /= tmp
     np.subtract(params.flat, new_p, out=new_p)
-    return params.like(new_p), AdamState(m=params.like(m), v=params.like(v), step=t)
+    new_p.flags.writeable = False
+    return params.like(new_p), AdamState(m=m, v=v, step=t)
 
 
 def accuracy(emb: Embeddings, labels: np.ndarray, mask: np.ndarray) -> float:

@@ -235,11 +235,6 @@ def _relabeled_edges(g: Graph, nodes: np.ndarray) -> np.ndarray:
     return e[(e >= 0).all(axis=1)]
 
 
-def _induced_csr(g: Graph, nodes: np.ndarray) -> tuple:
-    """CSR arrays of the subgraph induced by sorted `nodes`, relabeled 0..len-1."""
-    return _csr(_relabeled_edges(g, nodes), nodes.size)
-
-
 _KL_MAX_SWEEPS = 20
 
 
@@ -343,7 +338,8 @@ def _recursive_bisect(g: Graph, nodes: np.ndarray, K: int, rng: np.random.Genera
     # keeps the random stream, and so the partitions of earlier releases
     # wherever the KL split itself is unchanged.
     rng.integers(0, 2**31)
-    first = _kernighan_lin(*_induced_csr(g, nodes), np.isin(nodes, perm[:n1]))
+    first = _kernighan_lin(*_csr(_relabeled_edges(g, nodes), nodes.size),
+                           np.isin(nodes, perm[:n1]))
     return (_recursive_bisect(g, nodes[first], k1, rng)
             + _recursive_bisect(g, nodes[~first], k2, rng))
 

@@ -11,10 +11,13 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_cufl_run_reaches_every_hook(tmp_path):
+@pytest.mark.parametrize("method", ["CUFL", "FedAvg"])
+def test_traced_run_reaches_every_hook(tmp_path, method):
     out = tmp_path / "run"
     # a subprocess, because the tracer replaces the package's module attributes
     code = textwrap.dedent(f"""
@@ -28,7 +31,7 @@ def test_traced_cufl_run_reaches_every_hook(tmp_path):
         tr.install("subfedsim", {str(out)!r})
         starts = []
         worker._hook_round_starts(experiment, starts)
-        experiment.run_experiment(ExperimentConfig(rounds=2, num_clients=2),
+        experiment.run_experiment(ExperimentConfig(rounds=2, num_clients=2, method={method!r}),
                                   out_dir={str(out)!r})
         print(json.dumps({{"starts": len(starts), **tr.layer_metrics()}}))
     """)
@@ -37,9 +40,13 @@ def test_traced_cufl_run_reaches_every_hook(tmp_path):
     m = json.loads(stdout.strip().splitlines()[-1])
     assert m["starts"] == 2
     assert m["gcn.forward.calls"] > 0
-    assert m["ies.reconstruct.calls"] > 0
-    assert m["server.similarity_matrix.pairs"] == 2  # one client pair in each of 2 rounds
-    assert m["experiment.artifacts.files"] > 0
+    if method == "CUFL":
+        assert m["experiment.artifacts.files"] > 0
+        assert m["ies.reconstruct.calls"] > 0
+        assert m["server.similarity_matrix.pairs"] == 2  # one client pair in each of 2 rounds
+    else:  # the path of the FedAvg workload: one Adam step per client and round
+        assert m["gcn.adam_step.calls"] == 4
+        assert m["server.similarity_matrix.pairs"] == 0
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         declared = {entry["name"] for entry in json.load(f)["per_layer"]}
     # run.py computes the overhead share from a traced and an untraced run

@@ -316,7 +316,25 @@ def run_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def fedavg_run_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("analyze-fedavg")
+    out = tmp / "run"
+    assert run_cli("run", "--config", write_cfg(tmp, method="FedAvg"), "--out", str(out)) == 0
+    return out
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("analysis, missing", [
+        ("weight-proportion", "similarity_round_1.csv"),
+        ("bin-match", "refrecon_round_1_client_0.csv"),
+    ])
+    def test_fedavg_run_names_the_missing_file_one_way(self, fedavg_run_dir, capsys,
+                                                       analysis, missing):
+        assert run_cli("analyze", analysis, str(fedavg_run_dir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{fedavg_run_dir / missing}: missing file" in err
+
     def test_learning_curve(self, run_dir, capsys):
         assert run_cli("analyze", "learning-curve", str(run_dir)) == 0
         lines = capsys.readouterr().out.strip().split("\n")

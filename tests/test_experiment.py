@@ -8,6 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import golden
 from subfedsim import config, experiment, gcn, graphs, ies, server
 
 
@@ -33,7 +34,7 @@ def make_state(k, cfg, seed=0, params=None, block_size=15):
     p = params if params is not None else gcn.init_params(
         cfg.dataset.dx, cfg.model.hidden, 2, seed=seed + 200 + k)
     return experiment.ClientState(
-        client_id=k, graph=g, split=split, params=p.copy(), trained=p.copy(),
+        client_id=k, graph=g, split=split, params=p, trained=p,
         mask=np.full(g.num_edges, cfg.ies.init_value), adam=gcn.init_adam(p),
         tau_state=server.TauState())
 
@@ -122,7 +123,7 @@ class TestWarmup:
         for st in states:
             for (_, a), (_, b) in zip(st.params.tensors(), init.tensors()):
                 assert np.array_equal(a, b)
-            assert np.all(st.adam.m.W1 == 0.0) and st.adam.step == 0
+            assert np.all(st.adam.m == 0.0) and st.adam.step == 0
 
     def test_masks_move_off_init(self):
         cfg = tiny_cfg()
@@ -144,10 +145,10 @@ class TestWarmup:
 def reference_warmup(states, cfg, init_params):
     """The hand-written FedProx loop `warmup` ran before it shared the round's epoch loop."""
     if cfg.warmup.rounds > 0:
-        global_p = init_params.copy()
+        global_p = init_params
         for _ in range(cfg.warmup.rounds):
             for st in states:
-                trained = global_p.copy()
+                trained = global_p
                 adam = gcn.init_adam(trained)
                 g = st.graph
                 tm = st.split.mask(graphs.TRAIN)
@@ -184,7 +185,7 @@ def test_warmup_matches_reference_bytes(rounds, epochs):
         assert a.mask.tobytes() == b.mask.tobytes()
         assert a.params.flat.tobytes() == init.flat.tobytes()
         assert a.trained.flat.tobytes() == init.flat.tobytes()
-        assert a.adam.step == 0 and not a.adam.m.flat.any() and not a.adam.v.flat.any()
+        assert a.adam.step == 0 and not a.adam.m.any() and not a.adam.v.any()
 
 
 def reference_evaluate(state, params):
@@ -255,7 +256,7 @@ class TestLocalStage:
     def test_tiny_lr_leaves_params_near_anchor(self):
         cfg = tiny_cfg(model=config.ModelSpec(hidden=16, lr=1e-12))
         st = make_state(0, cfg)
-        before = st.params.copy()
+        before = st.params
         experiment.local_training_stage(st, 1, cfg, config.METHODS["FedProx"])
         assert st.trained.sq_distance(before) < 1e-18
 
@@ -266,7 +267,7 @@ class TestLocalStage:
         for t in range(1, 30):
             losses.append(experiment.local_training_stage(st, t, cfg,
                                                           config.METHODS["FedAvg"]))
-            st.params = st.trained.copy()
+            st.params = st.trained
         assert losses[-1] < losses[0]
 
     def test_round_t_mask_step_uses_g_lambda_of_t(self):
@@ -281,14 +282,14 @@ class TestLocalStage:
             adj = ref.adjacency.normalized(ref.mask)
             _, grads = gcn.loss_and_grads(ref.params, adj, ref.graph.features,
                                           ref.graph.labels, ref.split.mask(graphs.TRAIN),
-                                          ref.params.copy(), cfg.fed.beta)
+                                          ref.params, cfg.fed.beta)
             ref.trained, ref.adam = gcn.adam_step(ref.params, grads, ref.adam, cfg.model.lr)
             recon = ies.model_reconstruction(ref.trained, adj, ref.graph)
             ref.mask = ies.mask_step(ref.mask, recon, lam, cfg.ies.gamma, ref.mask,
                                      cfg.ies.lr_train, cfg.ies.steps)
             assert st.mask.tobytes() == ref.mask.tobytes(), t
             assert st.trained.flat.tobytes() == ref.trained.flat.tobytes(), t
-            st.params, ref.params = st.trained.copy(), ref.trained.copy()
+            st.params, ref.params = st.trained, ref.trained
 
     def test_mask_untouched_without_use_mask(self):
         cfg = tiny_cfg()
@@ -425,6 +426,73 @@ class TestRunExperiment:
                        rounds=1)
         res = experiment.run_experiment(cfg)
         assert res.clusters == [0, 0, 1, 1]
+
+    def test_empty_split_has_no_mean_and_no_std(self):
+        final = experiment.run_experiment(
+            tiny_cfg(rounds=1, split_ratios=(1.0, 0.0, 0.0))).summary["final"]
+        assert final["train_acc_mean"] is not None and final["train_acc_std"] is not None
+        for key in ("val_acc", "test_acc"):
+            assert final[f"{key}_mean"] is None and final[f"{key}_std"] is None
+
+    def test_single_client_std_is_zero(self):
+        final = experiment.run_experiment(
+            tiny_cfg(rounds=1, num_clients=1, method="Local")).summary["final"]
+        assert final["test_acc_mean"] is not None and final["test_acc_std"] == 0.0
+
+
+# every method, plus each golden run that overrides a key to reach another path
+MODEL_RUNS = [(m, ()) for m in config.METHODS] + [(m, o) for m, _, _, o in golden.RUNS if o]
+
+
+class TestModelsAreValues:
+    """Models are shared, never copied: no stage writes into one."""
+
+    @pytest.mark.parametrize("method, overrides", MODEL_RUNS,
+                             ids=["-".join((m, *o)) for m, o in MODEL_RUNS])
+    def test_runs_never_write_a_model(self, tmp_path, monkeypatch, method, overrides):
+        init_params = gcn.init_params
+
+        def read_only_init_params(*args, **kw):
+            p = init_params(*args, **kw)
+            flat = p.flat.copy()
+            flat.flags.writeable = False
+            return p.like(flat)
+
+        monkeypatch.setattr(gcn, "init_params", read_only_init_params)
+        cfg = config.apply_overrides(tiny_cfg(method=method, rounds=2), list(overrides))
+        res = experiment.run_experiment(cfg, out_dir=str(tmp_path))
+        assert len(res.records) == 2
+
+    @pytest.mark.parametrize("method", ["FedAvg", "Local"])
+    def test_round_hands_out_shared_models(self, monkeypatch, method):
+        seen = []  # (params, trained) of each client after each round's aggregation
+        client_metrics = experiment._client_metrics
+
+        def spy(state, *args):
+            seen.append((state.params, state.trained))
+            return client_metrics(state, *args)
+
+        monkeypatch.setattr(experiment, "_client_metrics", spy)
+        experiment.run_experiment(tiny_cfg(method=method, rounds=2))
+        for a, b in (seen[:2], seen[2:]):
+            if method == "FedAvg":  # one size-weighted mean for every client
+                assert a[0] is b[0] and a[0] is not a[1]
+            else:
+                assert a[0] is a[1] and b[0] is b[1]
+
+    def test_fedavg_binds_one_model_per_step_and_one_mean_per_round(self, monkeypatch):
+        calls = []
+        bind = gcn.GcnParams._bind
+
+        def counting_bind(self, flat, layout):
+            calls.append(flat.size)
+            bind(self, flat, layout)
+
+        monkeypatch.setattr(gcn.GcnParams, "_bind", counting_bind)
+        cfg = tiny_cfg(method="FedAvg", rounds=3)
+        experiment.run_experiment(cfg)
+        R, K = cfg.rounds, cfg.num_clients  # init, then per round K grads, K steps, a mean
+        assert len(calls) == 1 + R * (2 * K + 1) == 16
 
 
 def reference_build_dataset(cfg):

@@ -298,8 +298,8 @@ class TestForward:
 class TestLossAndGrads:
     def test_proximal_zero_at_anchor(self):
         params, adj, X, y, train, _ = random_instance(1)
-        l0, g0 = gcn.loss_and_grads(params, adj, X, y, train, params.copy(), 0.0)
-        l1, g1 = gcn.loss_and_grads(params, adj, X, y, train, params.copy(), 10.0)
+        l0, g0 = gcn.loss_and_grads(params, adj, X, y, train, params, 0.0)
+        l1, g1 = gcn.loss_and_grads(params, adj, X, y, train, params, 10.0)
         assert l0 == pytest.approx(l1, abs=1e-15)
         for (_, a), (_, b) in zip(g0.tensors(), g1.tensors()):
             assert np.allclose(a, b, atol=1e-15)
@@ -311,7 +311,7 @@ class TestLossAndGrads:
         adj = sp.eye(n, format="csr")
         loss, _ = gcn.loss_and_grads(params, adj, np.ones((n, 2)),
                                      np.zeros(n, dtype=int), np.ones(n, dtype=bool),
-                                     params.copy(), 0.0)
+                                     params, 0.0)
         assert loss == pytest.approx(np.log(C), abs=1e-12)
 
     def test_no_train_nodes_rejected(self):
@@ -437,7 +437,7 @@ class TestFlatParams:
 
     def test_copy_and_like_keep_layout_not_storage(self):
         params = gcn.init_params(3, 4, 2, seed=0)
-        dup = params.copy()
+        dup = params.like(params.flat.copy())
         dup.b1[:] = 1.0
         assert not params.b1.any()
         zeros = params.like(np.zeros_like(params.flat))
@@ -473,7 +473,32 @@ class TestFlatParams:
                 ref_p[name] = ref_p[name] - lr * mhat / (np.sqrt(vhat) + eps)
         for name, t in params.tensors():
             assert np.array_equal(t, ref_p[name]), name
-            assert np.array_equal(dict(state.m.tensors())[name], ref_m[name]), name
+            assert np.array_equal(dict(params.like(state.m).tensors())[name], ref_m[name]), name
+
+
+def assert_read_only(params):
+    for name, t in (("flat", params.flat), *params.tensors()):
+        with pytest.raises(ValueError):
+            t[(0,) * t.ndim] = 1.0
+        assert not t.flags.writeable, name
+
+
+class TestModelsAreValues:
+    def test_adam_step_returns_read_only_model(self):
+        params, adj, X, y, train, anchor = random_instance(0)
+        _, grads = gcn.loss_and_grads(params, adj, X, y, train, anchor, 0.1)
+        new_p, _ = gcn.adam_step(params, grads, gcn.init_adam(params), 0.01)
+        assert_read_only(new_p)
+
+    def test_weighted_sum_returns_read_only_model(self):
+        ps = [gcn.init_params(3, 4, 2, seed=s) for s in range(3)]
+        assert_read_only(gcn.weighted_sum([0.2, 0.3, 0.5], ps))
+
+    def test_gradients_stay_writable(self):
+        params, adj, X, y, train, anchor = random_instance(1)
+        _, grads = gcn.loss_and_grads(params, adj, X, y, train, anchor, 0.1)
+        grads.W1[0, 0] = 1.0
+        assert grads.flat[0] == 1.0
 
 
 class TestAdam:
@@ -533,8 +558,8 @@ def reference_adam_step(params, grads, state, lr):
     """The former update: each line a new array. Returns (params, m, v) flats."""
     t = state.step + 1
     g = grads.flat
-    m = gcn.ADAM_BETA1 * state.m.flat + (1 - gcn.ADAM_BETA1) * g
-    v = gcn.ADAM_BETA2 * state.v.flat + (1 - gcn.ADAM_BETA2) * g * g
+    m = gcn.ADAM_BETA1 * state.m + (1 - gcn.ADAM_BETA1) * g
+    v = gcn.ADAM_BETA2 * state.v + (1 - gcn.ADAM_BETA2) * g * g
     mhat = m / (1 - gcn.ADAM_BETA1 ** t)
     vhat = v / (1 - gcn.ADAM_BETA2 ** t)
     return params.flat - lr * mhat / (np.sqrt(vhat) + gcn.ADAM_EPS), m, v
@@ -550,21 +575,21 @@ def test_adam_matches_former_expressions_bytes(step, zero_grads):
     if step == 0:
         state = gcn.init_adam(params)
     else:
-        state = gcn.AdamState(m=params.like(rng.standard_normal(size) * 1e-2),
-                              v=params.like(rng.random(size) * 1e-4), step=step)
+        state = gcn.AdamState(m=rng.standard_normal(size) * 1e-2,
+                              v=rng.random(size) * 1e-4, step=step)
     scale = 10.0 ** rng.uniform(-12, 2, size)  # gradients over many magnitudes
     grads = params.like(np.zeros(size) if zero_grads else rng.standard_normal(size) * scale)
-    before = [a.flat.copy() for a in (params, grads, state.m, state.v)]
+    before = [a.copy() for a in (params.flat, grads.flat, state.m, state.v)]
     for lr in (0.01, 0.3):
         new_p, new_s = gcn.adam_step(params, grads, state, lr)
         ref_p, ref_m, ref_v = reference_adam_step(params, grads, state, lr)
         assert new_p.flat.tobytes() == ref_p.tobytes()
-        assert new_s.m.flat.tobytes() == ref_m.tobytes()
-        assert new_s.v.flat.tobytes() == ref_v.tobytes()
+        assert new_s.m.tobytes() == ref_m.tobytes()
+        assert new_s.v.tobytes() == ref_v.tobytes()
         assert new_s.step == step + 1
     # the inputs are read, never written
-    for a, b in zip(before, (params, grads, state.m, state.v)):
-        assert a.tobytes() == b.flat.tobytes()
+    for a, b in zip(before, (params.flat, grads.flat, state.m, state.v)):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestAccuracy:
@@ -625,8 +650,7 @@ class TestProperties:
                                                            hidden=4, C=2)
             dists = []
             for beta in (0.0, 0.1, 10.0):
-                p = params0.copy()
-                anchor = params0.copy()
+                p = anchor = params0
                 state = gcn.init_adam(p)
                 for _ in range(20):
                     _, grads = gcn.loss_and_grads(p, adj, X, y, train, anchor, beta)

@@ -190,6 +190,12 @@ class TestAggregate:
         w = server.softmax_weights(np.array([1.0, 0.999]), 1e6)
         assert np.isfinite(w).all() and w.sum() == pytest.approx(1.0)
 
+    def test_aggregated_model_is_read_only(self):
+        out = server.aggregate(np.array([1.0, 0.5]), 5.0, self.params_list([0, 1]))
+        for t in (out.flat, out.W1, out.b1, out.W2, out.b2):
+            with pytest.raises(ValueError):
+                t[(0,) * t.ndim] = 1.0
+
     def test_nonfinite_param_named(self):
         ps = self.params_list([0, 1])
         ps[1].W2[0, 0] = np.nan
