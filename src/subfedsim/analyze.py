@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 
+from .config import dump_rounds_of
 from .experiment import bin_match_ratio, same_cluster_weight_proportion
 from .graphs import _convert, _read_csv
 
@@ -71,7 +72,11 @@ def bin_match_csv(run_dir: str, num_bins: int = 5) -> str:
     summary = _load_summary(run_dir)
     rounds = _config_value(run_dir, summary, "rounds")
     K = _config_value(run_dir, summary, "num_clients")
-    dump_rounds = summary["config"].get("dump_rounds") or [1, rounds]
+    dump_rounds = dump_rounds_of(summary["config"].get("dump_rounds"), rounds)
+    if len(set(dump_rounds)) < 2:
+        path = os.path.join(run_dir, "summary.json")
+        raise AnalysisError(f"{path}: config.dump_rounds gives the dump rounds "
+                            f"{list(dump_rounds)}; bin-match needs two distinct rounds")
     t0, t1 = min(dump_rounds), max(dump_rounds)
     lines = ["bin,ratio,client"]
     for k in range(K):

@@ -190,17 +190,36 @@ class ExperimentConfig:
             raise ConfigError("config key 'fed.prune_frac' must lie in [0, 1)")
         if not 0.0 < self.partition.frac <= 1.0:
             raise ConfigError("config key 'partition.frac' must lie in (0, 1]")
+        if self.partition.kind == "overlap":
+            want = self.partition.base_parts * self.partition.copies_per_part
+            if self.num_clients != want:
+                raise ConfigError(
+                    f"config key 'num_clients' must equal partition.base_parts x "
+                    f"partition.copies_per_part = {want} for partition.kind='overlap', "
+                    f"got {self.num_clients}")
+        # ba starts from a complete graph on m+1 nodes; only similarity builds a reference
+        for key, used in (("dataset", True), ("reference", method.aggregation == "similarity")):
+            spec = value(key)
+            if used and spec.kind == "ba" and spec.n <= spec.m:
+                raise ConfigError(f"config key '{key}.n' must exceed {key}.m={spec.m} "
+                                  f"for {key}.kind='ba', got {spec.n}")
         if self.dataset.kind == "dir" and not self.dataset.path:
             raise ConfigError("dataset.path is required for dataset.kind='dir'")
         if self.partition.kind == "file" and self.dataset.kind != "dir":
             raise ConfigError("partition.kind='file' requires dataset.kind='dir'")
 
     def effective_dump_rounds(self) -> tuple:
-        if self.dump_rounds is not None:
-            return tuple(self.dump_rounds)
-        if self.rounds == 0:
-            return ()
-        return (1, self.rounds)
+        return dump_rounds_of(self.dump_rounds, self.rounds)
+
+
+def dump_rounds_of(dump_rounds, rounds: int) -> tuple:
+    """The rounds whose masks and reference reconstructions a run writes: the listed
+    ones, or for None the first and last round (none when `rounds` is 0)."""
+    if dump_rounds is not None:
+        return tuple(dump_rounds)
+    if rounds == 0:
+        return ()
+    return (1, rounds)
 
 
 _TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}

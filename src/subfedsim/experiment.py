@@ -6,7 +6,6 @@ import itertools
 import json
 import operator
 import os
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -385,11 +384,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             if sim is not None:
                 _write_matrix(os.path.join(out_dir, f"similarity_round_{t}.csv"), sim)
                 _write_matrix(os.path.join(out_dir, f"alpha_round_{t}.csv"), alpha)
-                with open(os.path.join(out_dir, f"tau_round_{t}.csv"), "w",
-                          newline="\n") as f:
-                    f.write("client,tau\n")
-                    for k, tau in enumerate(taus):
-                        f.write(f"{k},{_fmt(tau)}\n")
             if t in dump_rounds:
                 if method.mask:
                     _dump_masks(out_dir, states, t)
@@ -409,7 +403,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     summary = {
         "manifest": {
             "config_path": config_path,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "tool_version": __version__,
             "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
         },

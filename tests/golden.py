@@ -1,4 +1,4 @@
-"""Golden digests: the sha256 of every byte-stable file of 35 short runs.
+"""Golden digests: the sha256 of every file of 35 short runs, as written.
 
     python3 tests/golden.py        # rewrites tests/golden.json
 
@@ -47,11 +47,6 @@ RUNS = [(method, partition, seed, ())
     # lets every round's validation accuracy move tau within the five rounds
     ("CUFL", "bisection", 0, ("fed.tau=adaptive", "fed.tau_patience=0")),
 ]
-# The README's byte-stable files; summary.json is hashed without these manifest keys
-# where present (runs no longer write `out_dir`).
-STABLE_PREFIXES = ("similarity_round_", "alpha_round_", "tau_round_", "mask_round_",
-                   "refrecon_round_")
-VOLATILE_MANIFEST_KEYS = ("timestamp", "out_dir")
 
 
 def run_name(method: str, partition: str, seed: int, overrides: tuple = ()) -> str:
@@ -83,13 +78,7 @@ def fingerprint() -> dict:
 
 def file_digest(path: str) -> str:
     with open(path, "rb") as f:
-        data = f.read()
-    if os.path.basename(path) == "summary.json":
-        summary = json.loads(data)
-        for key in VOLATILE_MANIFEST_KEYS:
-            summary["manifest"].pop(key, None)
-        data = json.dumps(summary, sort_keys=True, indent=2).encode()
-    return hashlib.sha256(data).hexdigest()
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def run_digests(method: str, partition: str, seed: int, overrides: tuple,
@@ -101,8 +90,7 @@ def run_digests(method: str, partition: str, seed: int, overrides: tuple,
     cfg = config.apply_overrides(cfg, list(overrides))
     experiment.run_experiment(cfg, out_dir=out_dir)
     return {name: file_digest(os.path.join(out_dir, name))
-            for name in sorted(os.listdir(out_dir))
-            if name in ("metrics.csv", "summary.json") or name.startswith(STABLE_PREFIXES)}
+            for name in sorted(os.listdir(out_dir))}
 
 
 def main() -> int:

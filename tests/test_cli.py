@@ -212,6 +212,7 @@ class TestRun:
                      id="split_ratios=[huge int,1,1]-split_ratios"),
         pytest.param("ies.lr_train=1" + "0" * 400, "ies.lr_train",
                      id="ies.lr_train=huge int-ies.lr_train"),
+        ("partition.kind=overlap", "num_clients"),  # 2 clients, 2 x 2 overlap parts
         ("typo.key=1", "typo"),
         ("seed.x=1", "seed"),
         ("fed.tau.x=1", "fed.tau"),
@@ -250,6 +251,40 @@ class TestRun:
                 else:
                     cfg = config.apply_overrides(base, overrides)
                     assert getattr(cfg.ies, key.split(".")[1]) == 2000
+
+    def test_overlap_client_count_names_its_keys(self):
+        from subfedsim import config
+        base = config.ExperimentConfig()
+        with pytest.raises(config.ConfigError) as exc:
+            config.apply_overrides(base, ["partition.kind=overlap", "num_clients=3"])
+        for key in ("'num_clients'", "partition.base_parts", "partition.copies_per_part"):
+            assert key in str(exc.value)
+        cfg = config.apply_overrides(base, ["partition.kind=overlap", "num_clients=6",
+                                            "partition.copies_per_part=3"])
+        assert cfg.num_clients == 6
+
+    @pytest.mark.parametrize("section", ["dataset", "reference"])
+    def test_ba_needs_more_nodes_than_m(self, tmp_path, capsys, section):
+        cfg = write_cfg(tmp_path)
+        assert run_cli("run", "--config", cfg, "--set", f"{section}.kind=ba",
+                       "--set", f"{section}.n=2", "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{section}.n'" in err and "ba" in err
+        assert not (tmp_path / "x").exists()
+        from subfedsim import config
+        assert config.apply_overrides(config.ExperimentConfig(),
+                                      [f"{section}.kind=ba", f"{section}.n=3"])
+
+    def test_ba_reference_bound_follows_the_method(self):
+        from subfedsim import config
+        base = config.ExperimentConfig()
+        for name in config.METHODS:
+            overrides = [f"method={name}", "reference.kind=ba", "reference.n=2"]
+            if name == "CUFL":  # the method that builds the reference graph
+                with pytest.raises(config.ConfigError, match="'reference.n'"):
+                    config.apply_overrides(base, overrides)
+            else:
+                assert config.apply_overrides(base, overrides).reference.n == 2
 
     def test_int_and_float_spellings_echo_alike(self):
         from subfedsim import config
@@ -443,6 +478,28 @@ class TestAnalyze:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[1:] == ["0,0.5,0", "1,,0", "2,,0", "3,,0", "4,1.0,0"]
+
+    @pytest.mark.parametrize("dump_rounds", [[], [2], [1, 1]], ids=["[]", "[2]", "[1,1]"])
+    def test_bin_match_needs_two_distinct_dump_rounds(self, tmp_path, capsys, dump_rounds):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "summary.json").write_text(json.dumps(
+            {"config": {"rounds": 2, "num_clients": 1, "dump_rounds": dump_rounds}}))
+        for t in (1, 2):
+            (run / f"refrecon_round_{t}_client_0.csv").write_text("u,v,weight\n0,1,0.5\n")
+        assert run_cli("analyze", "bin-match", str(run)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{run / 'summary.json'}: config.dump_rounds" in err
+
+    def test_bin_match_on_a_run_without_dumps(self, tmp_path, capsys):
+        out = tmp_path / "nodump"
+        assert run_cli("run", "--config", write_cfg(tmp_path, dump_rounds=[]),
+                       "--out", str(out)) == 0
+        assert not list(out.glob("refrecon_*")) and not list(out.glob("mask_*"))
+        assert run_cli("analyze", "bin-match", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "config.dump_rounds" in err and "missing file" not in err
 
     def test_missing_artifact_errors(self, tmp_path, capsys):
         empty = tmp_path / "not-a-run"

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -383,13 +384,6 @@ class TestRunExperiment:
         last = res.records[-1].client_metrics
         assert last[0]["train_loss"] != last[1]["train_loss"]
 
-    def test_fedavg_shares_one_model(self, tmp_path):
-        cfg = tiny_cfg(method="FedAvg", rounds=2)
-        g = experiment._build_dataset(cfg)
-        res = experiment.run_experiment(cfg)
-        assert res.records[-1].similarity is None
-        assert len(res.records) == 2
-
     def test_cufl_records_similarity_and_proportion(self, tmp_path):
         res, out = self.run(tmp_path, "cufl")
         for rec in res.records:
@@ -401,13 +395,39 @@ class TestRunExperiment:
         assert (out / "mask_round_1_client_0.csv").exists()
         assert (out / "refrecon_round_3_client_1.csv").exists()
 
-    def test_partition_count_mismatch_rejected(self):
-        cfg = tiny_cfg(num_clients=3,
-                       partition=config.PartitionSpec(kind="overlap",
-                                                      base_parts=2,
-                                                      copies_per_part=2))
-        with pytest.raises(ValueError):
+    def test_partition_count_mismatch_rejected(self, tmp_path):
+        # validate() checks an overlap partition's count; a file's is known once read
+        with pytest.raises(config.ConfigError, match="'num_clients'"):
+            tiny_cfg(num_clients=3, partition=config.PartitionSpec(
+                kind="overlap", base_parts=2, copies_per_part=2))
+        g = experiment._build_dataset(tiny_cfg())
+        graphs.save_graph_dir(g, str(tmp_path))
+        (tmp_path / "partition.csv").write_text(
+            "node,client\n" + "".join(f"{i},{i % 2}\n" for i in range(g.num_nodes)))
+        cfg = tiny_cfg(num_clients=3, partition=config.PartitionSpec(kind="file"),
+                       dataset=config.DatasetSpec(kind="dir", path=str(tmp_path)))
+        with pytest.raises(ValueError, match="partition has 2 clients, config says 3"):
             experiment.run_experiment(cfg)
+
+    def test_alpha_rows_use_the_tau_in_metrics(self, tmp_path):
+        cfg = config.ExperimentConfig(rounds=6)
+        cfg.fed.tau, cfg.fed.tau_patience = "adaptive", 0  # tau moves every round
+        out = tmp_path / "adaptive"
+        experiment.run_experiment(cfg, out_dir=str(out))
+        assert not list(out.glob("tau_*"))  # metrics.csv is tau's one home
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert lines[0].endswith(",tau")
+        tau = {(int(f[0]), int(f[1])): float(f[-1])
+               for f in (line.split(",") for line in lines[1:])}
+        assert len(tau) == cfg.rounds * cfg.num_clients and len(set(tau.values())) > 1
+        for t in range(1, cfg.rounds + 1):
+            sim = (out / f"similarity_round_{t}.csv").read_text().splitlines()
+            alpha = (out / f"alpha_round_{t}.csv").read_text().splitlines()
+            assert len(sim) == len(alpha) == cfg.num_clients
+            for k, row in enumerate(sim):
+                weights = server.softmax_weights(np.array(row.split(","), dtype=float),
+                                                 tau[t, k])
+                assert alpha[k] == ",".join(map(repr, weights.tolist()))
 
     def test_adaptive_tau_stays_in_range(self, tmp_path):
         cfg = tiny_cfg(rounds=8)
@@ -473,7 +493,9 @@ class TestModelsAreValues:
             return client_metrics(state, *args)
 
         monkeypatch.setattr(experiment, "_client_metrics", spy)
-        experiment.run_experiment(tiny_cfg(method=method, rounds=2))
+        res = experiment.run_experiment(tiny_cfg(method=method, rounds=2))
+        assert len(res.records) == 2
+        assert all(rec.similarity is None for rec in res.records)
         for a, b in (seen[:2], seen[2:]):
             if method == "FedAvg":  # one size-weighted mean for every client
                 assert a[0] is b[0] and a[0] is not a[1]
@@ -627,6 +649,50 @@ def test_matrix_writer_matches_fmt_reference(tmp_path, shape):
     experiment._write_matrix(str(tmp_path / "new.csv"), mat)
     reference_write_matrix(str(tmp_path / "ref.csv"), mat)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def twice_runs(tmp_path_factory):
+    """A 2-round CUFL run and a 2-round FedAvg run, each written into two directories."""
+    runs = {}
+    for method in ("CUFL", "FedAvg"):
+        dirs = [tmp_path_factory.mktemp(f"{method}-{i}") for i in range(2)]
+        for d in dirs:
+            experiment.run_experiment(tiny_cfg(method=method, rounds=2), out_dir=str(d))
+        runs[method] = dirs
+    return runs
+
+
+@pytest.mark.parametrize("method", ["CUFL", "FedAvg"])
+def test_rerun_writes_byte_identical_directory(twice_runs, method):
+    a, b = twice_runs[method]
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b)) and "summary.json" in names
+    assert [n for n in names if (a / n).read_bytes() != (b / n).read_bytes()] == []
+
+
+def readme_artifact_patterns() -> dict:
+    """{file name: regex} for the backticked file names in the bullets of the
+    README's "Run artifacts" section, `{t}` and `{k}` standing for integers."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Run artifacts\n")[1]
+    section = section.split("\n## ")[0]
+    bullets = re.findall(r"^- .*(?:\n  .*)*", section, flags=re.M)
+    names = {n for b in bullets for n in re.findall(r"`([\w{}]+\.(?:csv|json))`", b)}
+    return {n: re.compile(r"\d+".join(map(re.escape, re.split(r"\{[tk]\}", n))))
+            for n in names}
+
+
+def test_readme_artifact_list_matches_written_files(twice_runs):
+    patterns = readme_artifact_patterns()
+    assert "metrics.csv" in patterns and "summary.json" in patterns
+    written = {m: os.listdir(dirs[0]) for m, dirs in twice_runs.items()}
+    unlisted = [(m, n) for m, names in written.items() for n in names
+                if not any(p.fullmatch(n) for p in patterns.values())]
+    assert unlisted == [], "files a run writes that the README does not list"
+    unwritten = [n for n, p in patterns.items()
+                 if not any(p.fullmatch(f) for f in written["CUFL"])]
+    assert unwritten == [], "README entries that a CUFL run does not write"
 
 
 def test_readme_methods_table_matches_config():
