@@ -8,7 +8,7 @@ import os
 import numpy as np
 
 from .config import dump_rounds_of
-from .experiment import bin_match_ratio, same_cluster_weight_proportion
+from .experiment import same_cluster_weight_proportion
 from .graphs import _convert, _read_csv
 
 
@@ -65,6 +65,33 @@ def weight_proportion_csv(run_dir: str) -> str:
 def _load_recon(path: str) -> np.ndarray:
     return np.array([_convert(path, lineno, float, fields)[2]
                      for lineno, fields in _read_csv(path, "u,v,weight")])
+
+
+def bin_match_ratio(ref_recon: np.ndarray, other_recon: np.ndarray,
+                    num_bins: int = 5) -> np.ndarray:
+    """Per-bin fraction of reference edges whose counterpart lands in the same bin.
+
+    Bins are equal width over [-1, 1]; empty reference bins yield NaN.
+    """
+    ref_recon = np.asarray(ref_recon, dtype=np.float64)
+    other_recon = np.asarray(other_recon, dtype=np.float64)
+    if ref_recon.shape != other_recon.shape:
+        raise ValueError("reconstructions must share the same edge list")
+    if num_bins < 1:
+        raise ValueError("num_bins must be >= 1")
+
+    def binify(w):
+        b = np.floor((w + 1.0) / 2.0 * num_bins).astype(int)
+        return np.clip(b, 0, num_bins - 1)
+
+    rb = binify(ref_recon)
+    ob = binify(other_recon)
+    out = np.full(num_bins, np.nan)
+    for b in range(num_bins):
+        in_bin = rb == b
+        if in_bin.any():
+            out[b] = float(np.mean(ob[in_bin] == b))
+    return out
 
 
 def bin_match_csv(run_dir: str, num_bins: int = 5) -> str:

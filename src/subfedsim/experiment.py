@@ -90,33 +90,6 @@ def same_cluster_weight_proportion(matrix: np.ndarray, clusters: list) -> float:
     return total / K
 
 
-def bin_match_ratio(ref_recon: np.ndarray, other_recon: np.ndarray,
-                    num_bins: int = 5) -> np.ndarray:
-    """Per-bin fraction of reference edges whose counterpart lands in the same bin.
-
-    Bins are equal width over [-1, 1]; empty reference bins yield NaN.
-    """
-    ref_recon = np.asarray(ref_recon, dtype=np.float64)
-    other_recon = np.asarray(other_recon, dtype=np.float64)
-    if ref_recon.shape != other_recon.shape:
-        raise ValueError("reconstructions must share the same edge list")
-    if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
-
-    def binify(w):
-        b = np.floor((w + 1.0) / 2.0 * num_bins).astype(int)
-        return np.clip(b, 0, num_bins - 1)
-
-    rb = binify(ref_recon)
-    ob = binify(other_recon)
-    out = np.full(num_bins, np.nan)
-    for b in range(num_bins):
-        in_bin = rb == b
-        if in_bin.any():
-            out[b] = float(np.mean(ob[in_bin] == b))
-    return out
-
-
 def _build_dataset(cfg: ExperimentConfig) -> graphs.Graph:
     ds = cfg.dataset
     if ds.kind == "dir":

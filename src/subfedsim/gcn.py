@@ -18,7 +18,9 @@ def _load_csr_matvecs():
     The extension `scipy/sparse/_sparsetools` is loaded on its own: importing
     `scipy.sparse` costs ~22 MB of memory, the extension ~1 MB. Its file is
     found through the import system's spec of `scipy`, which runs no scipy
-    code; only where no such file exists is it imported the usual way.
+    code; only where no such file exists is it imported the usual way. Where
+    that private module cannot be imported either, the product goes through
+    the public `scipy.sparse.csr_matrix(...) @ x`, which runs the same kernel.
     """
     spec = importlib.util.find_spec("scipy")
     for root in (spec and spec.submodule_search_locations) or ():
@@ -26,7 +28,14 @@ def _load_csr_matvecs():
             path = os.path.join(root, "sparse", "_sparsetools" + suffix)
             if os.path.isfile(path):
                 return _load_extension("scipy.sparse._sparsetools", path).csr_matvecs
-    from scipy.sparse._sparsetools import csr_matvecs
+    try:
+        from scipy.sparse._sparsetools import csr_matvecs
+    except ImportError:
+        from scipy.sparse import csr_matrix
+
+        def csr_matvecs(M, N, n_vecs, indptr, indices, data, x, out):
+            out[:] = (csr_matrix((data, indices, indptr), (M, N))
+                      @ x.reshape(N, n_vecs)).ravel()
     return csr_matvecs
 
 

@@ -225,6 +225,20 @@ def _csr(edges: np.ndarray, n: int) -> tuple:
     return indptr, dst[np.lexsort((dst, src))]
 
 
+def _sub_csr(indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray) -> tuple:
+    """CSR arrays of the subgraph induced by the nodes where boolean `keep` is
+    set, each relabeled to its position among the kept nodes. The relabeling
+    is monotone, so rows stay sorted: the arrays equal `_csr` of the
+    relabeled edges without its sort."""
+    rows = np.repeat(np.arange(keep.size), np.diff(indptr))
+    entry = keep[rows] & keep[indices]
+    local = np.cumsum(keep) - 1
+    kept = np.count_nonzero(keep)
+    sub_indptr = np.zeros(kept + 1, dtype=np.int64)
+    np.cumsum(np.bincount(local[rows[entry]], minlength=kept), out=sub_indptr[1:])
+    return sub_indptr, local[indices[entry]]
+
+
 def _relabeled_edges(g: Graph, nodes: np.ndarray) -> np.ndarray:
     """Edges of `g` with both endpoints in sorted, distinct `nodes`, relabeled to
     positions in `nodes`. The relabeling is monotone, so the rows keep the
@@ -236,6 +250,8 @@ def _relabeled_edges(g: Graph, nodes: np.ndarray) -> np.ndarray:
 
 
 _KL_MAX_SWEEPS = 20
+# A sweep ends once this many pair moves in a row bring no new lowest cut.
+_KL_PATIENCE = 100
 
 
 def _kernighan_lin(indptr: np.ndarray, indices: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -243,13 +259,20 @@ def _kernighan_lin(indptr: np.ndarray, indices: np.ndarray, first: np.ndarray) -
 
     Each sweep moves single nodes, alternating between the two parts so that
     both keep their sizes, and always takes the move that adds least to the
-    edge cut; bucket queues (Fiduccia & Mattheyses 1982) keep those costs. The
-    shortest prefix of moves with the lowest total is then applied. Sweeps
-    repeat until none lowers the cut, at most `_KL_MAX_SWEEPS` times. This is
-    the procedure of networkx 3.6's `kernighan_lin_bisection` for unit weights,
-    with a fixed order: nodes and neighbours are visited in ascending id, and
-    equal costs leave in the order they were queued. The result depends on the
-    inputs alone.
+    edge cut; bucket queues (Fiduccia & Mattheyses 1982) keep those costs. A
+    sweep ends when every node of the smaller part has moved, or, as in
+    Fiduccia & Mattheyses, once `_KL_PATIENCE` pair moves in a row have not
+    lowered the running total below its minimum so far (0 before any move).
+    The shortest prefix of moves with the lowest total is then applied.
+    Sweeps repeat until none lowers the cut, at most `_KL_MAX_SWEEPS` times.
+    Nodes and neighbours are visited in ascending id, and equal costs leave
+    in the order they were queued, so the result depends on the inputs alone.
+
+    Without the early exit this is the procedure of networkx 3.6's
+    `kernighan_lin_bisection` for unit weights. The exit keeps that result
+    wherever each sweep reaches its minimum within fewer than `_KL_PATIENCE`
+    non-improving pair moves in a row; on a graph with a longer non-improving
+    run before a sweep's minimum, the partition can differ.
 
     Returns a boolean array marking the part grown from `first`.
     """
@@ -277,7 +300,9 @@ def _kernighan_lin(indptr: np.ndarray, indices: np.ndarray, first: np.ndarray) -
 def _kernighan_lin_sweep(nbrs: list, side: list, cost: list, max_deg: int) -> list:
     """One sweep of alternating single-node moves from the starting `cost` of
     each node: (running cut change, u, v) per pair, u moving into the `first`
-    part and v out of it.
+    part and v out of it. The sweep stops after `_KL_PATIENCE` pairs in a row
+    that bring the running change no lower than its minimum so far, counting
+    the 0 of no move, so its moves are a prefix of the full sweep's.
 
     Each part queues its nodes in FIFO buckets indexed by key = cost + max_deg
     and scans up from its lowest non-empty bucket, so nodes leave in (cost,
@@ -315,19 +340,27 @@ def _kernighan_lin_sweep(nbrs: list, side: list, cost: list, max_deg: int) -> li
         lowest[s] = b
         return u, c
 
-    moves, total = [], 0
+    moves, total, best, since = [], 0, 0, 0
     for _ in range(min(side.count(False), side.count(True))):
         u, cu = move(False)
         v, cv = move(True)
         total += cu + cv
         moves.append((total, u, v))
+        if total < best:
+            best, since = total, 0
+        else:
+            since += 1
+            if since == _KL_PATIENCE:
+                break
     return moves
 
 
-def _recursive_bisect(g: Graph, nodes: np.ndarray, K: int, rng: np.random.Generator) -> list:
+def _recursive_bisect(csr: tuple, nodes: np.ndarray, K: int, rng: np.random.Generator) -> list:
     """Split sorted `nodes` into K parts with proportional sizes via seeded KL
-    bisection. The part grown from the first n1 nodes of a random permutation
-    is split into the first K // 2 parts."""
+    bisection. `csr` holds the (indptr, indices) of the subgraph `nodes`
+    induce, by position in `nodes`; each part is split on its own. The part
+    grown from the first n1 nodes of a random permutation is split into the
+    first K // 2 parts."""
     if K == 1:
         return [nodes.tolist()]
     k1 = K // 2
@@ -338,10 +371,9 @@ def _recursive_bisect(g: Graph, nodes: np.ndarray, K: int, rng: np.random.Genera
     # keeps the random stream, and so the partitions of earlier releases
     # wherever the KL split itself is unchanged.
     rng.integers(0, 2**31)
-    first = _kernighan_lin(*_csr(_relabeled_edges(g, nodes), nodes.size),
-                           np.isin(nodes, perm[:n1]))
-    return (_recursive_bisect(g, nodes[first], k1, rng)
-            + _recursive_bisect(g, nodes[~first], k2, rng))
+    first = _kernighan_lin(*csr, np.isin(nodes, perm[:n1]))
+    return (_recursive_bisect(_sub_csr(*csr, first), nodes[first], k1, rng)
+            + _recursive_bisect(_sub_csr(*csr, ~first), nodes[~first], k2, rng))
 
 
 def partition_bisection(g: Graph, K: int, seed: int) -> Partition:
@@ -351,7 +383,8 @@ def partition_bisection(g: Graph, K: int, seed: int) -> Partition:
     if K > g.num_nodes:
         raise ValueError("K must not exceed the number of nodes")
     rng = np.random.default_rng(seed)
-    return Partition(_recursive_bisect(g, np.arange(g.num_nodes), K, rng))
+    return Partition(_recursive_bisect(_csr(g.edges, g.num_nodes), np.arange(g.num_nodes),
+                                       K, rng))
 
 
 # networkx's default: a Louvain level is kept while modularity rises by more than this.
@@ -446,10 +479,13 @@ def partition_louvain_merge(g: Graph, K: int, seed: int) -> Partition:
     comms = sorted(c.tolist() for c in
                    np.split(by_label, np.flatnonzero(np.diff(labels[by_label])) + 1))
     # fewer communities than K: split the largest by bisection until we have enough
+    csr = _csr(g.edges, g.num_nodes) if len(comms) < K else None
     while len(comms) < K:
         comms.sort(key=len, reverse=True)
         big = comms.pop(0)
-        halves = _recursive_bisect(g, np.array(big), 2, rng)
+        keep = np.zeros(g.num_nodes, dtype=bool)
+        keep[big] = True
+        halves = _recursive_bisect(_sub_csr(*csr, keep), np.array(big), 2, rng)
         comms.extend(halves)
         comms.sort()
     # random round-robin grouping into K parts

@@ -65,6 +65,11 @@ def mask_step(mask: np.ndarray, recon: np.ndarray, lam: float, gamma: float,
         k = (1 - (1 - lr*gamma)^n) / gamma   (k = n*lr when lr*gamma == 0).
 
     Costs O(E) whatever n_steps is; returns a new mask and leaves `mask` as it is.
+
+    With the mask as its own anchor, as every caller passes it, a step moves
+    each weight by k*(lam - r), and k ~ n*lr: at the defaults (10 steps,
+    gamma = 1e-3) k = 0.005 on clients (`ies.lr_train` = 5e-4) and 1e-4 on the
+    reference graph (`ies.lr_aggr` = 1e-5).
     """
     if lr_mask <= 0:
         raise ValueError("lr_mask must be positive")

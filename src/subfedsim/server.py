@@ -58,6 +58,11 @@ def build_indicator(ref: ReferenceGraph, client_params: gcn.GcnParams, client_id
     """Optimize the client's reference mask with its current model, then ext-vectorize.
 
     Mutates ref.per_client_masks[client_id] (mask state persists across rounds).
+    Before the clip to [0, 1], each call moves every weight by k*(lam - r),
+    k ~ n_steps*lr_aggr: 1e-4 at the defaults, against 0.005 for the clients'
+    own masks. lam is the same for every edge, so while no weight clips the
+    mask is init - k*sum_t(r_t - lam_t) and the indicator keeps the edges of
+    lowest cumulative residual, whatever lam is.
     """
     g = ref.graph
     if g.features.shape[1] != client_params.W1.shape[0]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import golden
-from subfedsim import config, experiment, gcn, graphs, ies, server
+from subfedsim import analyze, config, experiment, gcn, graphs, ies, server
 
 
 def tiny_cfg(**kw):
@@ -88,31 +88,31 @@ class TestClusterProportion:
 class TestBinMatch:
     def test_identical_recon_all_ones(self):
         r = np.array([-0.9, -0.5, 0.0, 0.5, 0.9])
-        out = experiment.bin_match_ratio(r, r)
+        out = analyze.bin_match_ratio(r, r)
         assert np.all(out[np.isfinite(out)] == 1.0)
         assert np.isfinite(out).all()
 
     def test_disjoint_bins_zero(self):
         r = np.full(10, -0.9)
         o = np.full(10, 0.9)
-        out = experiment.bin_match_ratio(r, o)
+        out = analyze.bin_match_ratio(r, o)
         assert out[0] == 0.0
         assert np.isnan(out[1:]).all()
 
     def test_boundary_one_lands_in_last_bin(self):
-        out = experiment.bin_match_ratio(np.array([1.0]), np.array([1.0]))
+        out = analyze.bin_match_ratio(np.array([1.0]), np.array([1.0]))
         assert out[4] == 1.0
 
     def test_independent_uniform_matches_one_over_bins(self):
         rng = np.random.default_rng(0)
         r = rng.uniform(-1, 1, 100_000)
         o = rng.uniform(-1, 1, 100_000)
-        out = experiment.bin_match_ratio(r, o)
+        out = analyze.bin_match_ratio(r, o)
         assert np.all(np.abs(out - 0.2) < 0.01)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            experiment.bin_match_ratio(np.zeros(3), np.zeros(4))
+            analyze.bin_match_ratio(np.zeros(3), np.zeros(4))
 
 
 class TestWarmup:

@@ -175,6 +175,35 @@ class TestCsrMatrix:
         monkeypatch.setattr(gcn, "_csr_matvecs", kernel)
         assert (gcn.CsrMatrix(data, indices, indptr, shape) @ x).tobytes() == want.tobytes()
 
+    def test_public_fallback_gives_the_same_bytes(self, tmp_path):
+        """Without the private module, products go through `csr_matrix @ x`."""
+        cases = []
+        for seed, width in ((3, 16), (7, 1), (8, 5)):
+            data, indices, indptr, shape = random_csr(seed, 40, 30)
+            x = np.random.default_rng(seed).standard_normal((30, 2 * width))[:, ::2]
+            np.savez(tmp_path / f"case{seed}.npz", data=data, indices=indices,
+                     indptr=indptr, x=x)
+            cases.append((seed, (gcn.CsrMatrix(data, indices, indptr, shape) @ x).tobytes()))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = textwrap.dedent(f"""
+            import importlib.util, sys
+            import numpy as np
+            import scipy.sparse
+            sys.path.insert(0, {os.path.join(root, "src")!r})
+            sys.modules["scipy.sparse._sparsetools"] = None  # neither importable
+            importlib.util.find_spec = lambda name, package=None: None  # nor found as a file
+            from subfedsim import gcn
+            print(gcn._csr_matvecs.__qualname__)
+            for seed in (3, 7, 8):
+                c = np.load({str(tmp_path)!r} + f"/case{{seed}}.npz")
+                a = gcn.CsrMatrix(c["data"], c["indices"], c["indptr"], (40, 30))
+                print((a @ c["x"]).tobytes().hex())
+        """)
+        stdout = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=60, check=True).stdout.splitlines()
+        assert stdout[0] == "_load_csr_matvecs.<locals>.csr_matvecs"
+        assert stdout[1:] == [want.hex() for _, want in cases]
+
     def test_nnz_and_toarray(self):
         data, indices, indptr, shape = random_csr(5, 12, 9)
         a = gcn.CsrMatrix(data, indices, indptr, shape)

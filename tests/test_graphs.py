@@ -638,6 +638,70 @@ class TestMatchesReference:
                                     reference_induced_subgraph(g, nodes))
 
 
+def sweep_inputs(g, first):
+    """The neighbour lists, sides, costs and max degree `_kernighan_lin` gives a sweep."""
+    indptr, indices = graphs._csr(g.edges, g.num_nodes)
+    nbrs = [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(g.num_nodes)]
+    side = [bool(s) for s in first]
+    cost = [sum(1 if side[v] == side[u] else -1 for v in nbrs[u]) for u in range(g.num_nodes)]
+    return nbrs, side, cost, max(map(len, nbrs))
+
+
+class TestBisectionSetUp:
+    @pytest.mark.parametrize("make", [
+        lambda: graphs.generate_sbm(3, 40, 0.2, 0.02, 2, 2, seed=5),
+        lambda: graphs.generate_er(150, 0.04, 2, 2, seed=1),
+        lambda: graphs.generate_ba(200, 3, 2, 2, seed=2),
+        with_isolated_nodes,
+    ])
+    def test_sub_csr_matches_csr_of_relabeled_edges(self, make):
+        g = make()
+        n = g.num_nodes
+        csr = graphs._csr(g.edges, n)
+        rng = np.random.default_rng(0)
+        isolated = np.flatnonzero(np.bincount(g.edges.ravel(), minlength=n) == 0)
+        keeps = [np.zeros(n, dtype=bool), np.arange(n) == 7, np.ones(n, dtype=bool),
+                 rng.random(n) < 0.5, rng.random(n) < 0.1]
+        if isolated.size:  # a part that holds isolated nodes next to connected ones
+            keeps.append(np.isin(np.arange(n), np.concatenate([isolated, [0, 1, 2, 3]])))
+        for keep in keeps:
+            nodes = np.flatnonzero(keep)
+            want = graphs._csr(graphs._relabeled_edges(g, nodes), nodes.size)
+            for got, ref in zip(graphs._sub_csr(*csr, keep), want):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("start", ["blocks", "random"])
+    def test_sweep_ends_patience_pairs_after_its_last_new_minimum(self, seed, start):
+        g = graphs.generate_sbm(2, 250, 0.04, 0.004, 2, 2, seed=seed)
+        first = {"blocks": np.arange(500) < 250,
+                 "random": np.isin(np.arange(500),
+                                   np.random.default_rng(seed).permutation(500)[:250])}[start]
+        nbrs, side, cost, max_deg = sweep_inputs(g, first)
+        moves = graphs._kernighan_lin_sweep(nbrs, side, cost, max_deg)
+        full = reference_kernighan_lin_sweep(nbrs, side)
+        assert len(moves) < len(full) and moves == full[:len(moves)]
+        best, last = 0, -1  # the running total's minimum so far starts at no move's 0
+        for i, (total, _, _) in enumerate(moves):
+            if total < best:
+                best, last = total, i
+        assert len(moves) == last + 1 + graphs._KL_PATIENCE
+        if start == "random":  # the sweep found and kept its minimum before it ended
+            assert best == min(t for t, _, _ in full) < 0
+
+    @pytest.mark.parametrize("K, seed, expected", [
+        (5, 0, [[0, 2, 5, 6, 9], list(range(20, 30)), [10, 13, 16, 18, 19],
+                [1, 3, 4, 7, 8], [11, 12, 14, 15, 17]]),
+        (6, 1, [[0, 1, 3, 4, 8], [13, 15, 16, 18, 19], [2, 5, 6, 7, 9],
+                [10, 11, 12, 14, 17], [21, 22, 23, 27, 29], [20, 24, 25, 26, 28]]),
+    ])
+    def test_louvain_split_on_community_csr_keeps_partition(self, K, seed, expected):
+        # three Louvain communities, so K = 5 and 6 split two and three of them
+        g = graphs.generate_sbm(3, 10, 0.6, 0.02, 2, 3, seed=0)
+        assert graphs.partition_louvain_merge(g, K, seed).client_node_lists == expected
+
+
 class TestInducedSubgraphChecks:
     def test_duplicate_node_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

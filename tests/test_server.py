@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from subfedsim import gcn, graphs, ies, server
+from subfedsim import config, gcn, graphs, ies, server
 
 
 def small_ref(num_clients=3, seed=0):
@@ -239,6 +239,29 @@ class TestBuildIndicator:
         params = gcn.init_params(d, 8, 2, seed=0)
         server.build_indicator(ref, params, 0, lam(1), 0.001, 1e-5, 0)
         assert np.all(ref.per_client_masks[0] == 0.5)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_support_does_not_depend_on_lambda(self, seed):
+        """While no weight clips, a step from a uniform mask lowers each weight by
+        k*(r - lambda) with one k, so the indicator keeps the edges of lowest
+        residual whatever lambda is (k = 1e-4 at the defaults)."""
+        cfg = config.ExperimentConfig()
+        d = cfg.dataset.dx
+        g = graphs.generate_sbm(2, 30, 0.3, 0.05, d, 2, seed=seed)
+        params = gcn.init_params(d, cfg.model.hidden, 2, seed=seed + 10)
+        ref = server.ReferenceGraph.create(g, 1, cfg.ies.init_value)
+        r = ies.residuals(ies.model_reconstruction(
+            params, ref.adjacency.normalized(ref.per_client_masks[0]), g))
+        assert np.diff(np.sort(r)).min() > 1e-9  # no near-ties
+        kept = g.num_edges - int(np.floor(cfg.fed.prune_frac * g.num_edges))
+        lowest = np.sort(np.argsort(r)[:kept])
+        for lam_ in (0.0, 0.5, 1.0):
+            ref = server.ReferenceGraph.create(g, 1, cfg.ies.init_value)
+            vec = server.build_indicator(ref, params, 0, lam_, cfg.ies.gamma, cfg.ies.lr_aggr,
+                                         cfg.ies.steps, cfg.fed.prune_frac)
+            mask = ref.per_client_masks[0]
+            assert 0.0 < mask.min() and mask.max() < 1.0  # no weight clipped
+            assert np.array_equal(np.flatnonzero(vec), lowest)
 
     def test_feature_mismatch_rejected(self):
         ref = small_ref()
