@@ -208,9 +208,6 @@ class ExperimentConfig:
         if self.partition.kind == "file" and self.dataset.kind != "dir":
             raise ConfigError("partition.kind='file' requires dataset.kind='dir'")
 
-    def effective_dump_rounds(self) -> tuple:
-        return dump_rounds_of(self.dump_rounds, self.rounds)
-
 
 def dump_rounds_of(dump_rounds, rounds: int) -> tuple:
     """The rounds whose masks and reference reconstructions a run writes: the listed

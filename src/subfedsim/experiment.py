@@ -13,7 +13,7 @@ import numpy as np
 import scipy
 
 from . import __version__, gcn, graphs, ies, server
-from .config import METHODS, ExperimentConfig, Method, to_dict
+from .config import METHODS, ExperimentConfig, Method, dump_rounds_of, to_dict
 from .graphs import _fmt
 
 _MASK64 = (1 << 64) - 1
@@ -179,8 +179,8 @@ def _train_epochs(state: ClientState, cfg: ExperimentConfig, method: Method,
         trained, adam = gcn.adam_step(trained, grads, adam, cfg.model.lr)
         if method.mask and g.num_edges:
             recon = ies.model_reconstruction(trained, adj, g, use_logits, AX)
-            mask = ies.mask_step(mask, recon, lam, cfg.ies.gamma, mask,
-                                 cfg.ies.lr_train, cfg.ies.steps)
+            mask = ies.mask_step(mask, recon, lam, cfg.ies.gamma, cfg.ies.lr_train,
+                                 cfg.ies.steps)
     state.trained, state.adam, state.mask = trained, adam, mask
     return loss
 
@@ -233,7 +233,8 @@ def _size_weighted_mean(states: list) -> gcn.GcnParams:
 def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams) -> gcn.GcnParams:
     """FedProx pre-training of a shared model (returned), then per-client mask warm-up.
 
-    Only the masks keep warm-up state; GNN parameters are reset afterwards.
+    The pre-training leaves each client's initial mask as it is; the warm-up
+    steps it. Only the masks keep warm-up state; GNN parameters are reset afterwards.
     """
     pretrained = init_params
     for _ in range(cfg.warmup.rounds):
@@ -246,9 +247,9 @@ def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams) -> g
     lam = ies.g_lambda(cfg.ies.zeta, cfg.rounds, 1)
     use_logits = cfg.ies.embeddings == "logits"
     for st in states:
-        st.mask = ies.warmup_mask(st.graph, st.adjacency, pretrained, lam, cfg.ies.gamma,
-                                  cfg.ies.lr_train, cfg.warmup.steps,
-                                  cfg.ies.init_value, use_logits)
+        st.mask = ies.warmup_mask(st.graph, st.adjacency, st.mask, pretrained, lam,
+                                  cfg.ies.gamma, cfg.ies.lr_train, cfg.warmup.steps,
+                                  use_logits)
         st.params = st.trained = init_params
         st.adam = gcn.init_adam(init_params)
     return pretrained
@@ -329,7 +330,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         ref_graph = _build_reference(cfg, g.d_x)
         ref = server.ReferenceGraph.create(ref_graph, cfg.num_clients, cfg.ies.init_value)
 
-    dump_rounds = set(cfg.effective_dump_rounds()) if out_dir else set()
+    dump_rounds = set(dump_rounds_of(cfg.dump_rounds, cfg.rounds)) if out_dir else set()
     records = []
     for t in range(1, cfg.rounds + 1):
         losses = [local_training_stage(st, t, cfg, method) for st in states]

@@ -43,33 +43,25 @@ def residuals(recon: np.ndarray) -> np.ndarray:
     return np.abs(1.0 - recon)
 
 
-def mask_objective(mask: np.ndarray, recon: np.ndarray, lam: float,
-                   gamma: float, anchor: np.ndarray) -> float:
-    """sum S*(r - lambda) + (gamma/2) * sum (S - anchor)^2."""
-    if recon.shape[0] != mask.shape[0] or anchor.shape[0] != mask.shape[0]:
-        raise ValueError("mask, reconstruction and anchor must align")
-    r = residuals(recon)
-    return float(np.sum(mask * (r - lam)) + 0.5 * gamma * np.sum((mask - anchor) ** 2))
-
-
 def mask_step(mask: np.ndarray, recon: np.ndarray, lam: float, gamma: float,
-              anchor: np.ndarray, lr_mask: float, n_steps: int) -> np.ndarray:
+              lr_mask: float, n_steps: int) -> np.ndarray:
     """n_steps of clipped gradient descent on the mask objective, solved exactly.
 
-    Each step is w <- clip(w - lr*((r - lam) + gamma*(w - anchor)), 0, 1). While
+    The objective sum w*(r - lam) + (gamma/2) * sum (w - w0)^2 is anchored at
+    the mask w0 that enters the call. Each step is
+    w <- clip(w - lr*((r - lam) + gamma*(w - w0)), 0, 1). While
     0 <= lr*gamma <= 1 the unclipped iterates move monotonically toward
-    a - (r - lam)/gamma, so for a mask in [0, 1] clipping once equals clipping
+    w0 - (r - lam)/gamma, so for a mask in [0, 1] clipping once equals clipping
     every step, and the n steps give
 
-        clip(w + k*(gamma*(anchor - w) - (r - lam)), 0, 1),
+        clip(w0 + k*(lam - r), 0, 1),
         k = (1 - (1 - lr*gamma)^n) / gamma   (k = n*lr when lr*gamma == 0).
 
     Costs O(E) whatever n_steps is; returns a new mask and leaves `mask` as it is.
+    lam - r, not w0 - k*(r - lam), keeps a -0.0 weight with r == lam at +0.0.
 
-    With the mask as its own anchor, as every caller passes it, a step moves
-    each weight by k*(lam - r), and k ~ n*lr: at the defaults (10 steps,
-    gamma = 1e-3) k = 0.005 on clients (`ies.lr_train` = 5e-4) and 1e-4 on the
-    reference graph (`ies.lr_aggr` = 1e-5).
+    k ~ n*lr: at the defaults (10 steps, gamma = 1e-3) k = 0.005 on clients
+    (`ies.lr_train` = 5e-4) and 1e-4 on the reference graph (`ies.lr_aggr` = 1e-5).
     """
     if lr_mask <= 0:
         raise ValueError("lr_mask must be positive")
@@ -86,11 +78,7 @@ def mask_step(mask: np.ndarray, recon: np.ndarray, lam: float, gamma: float,
         k = 1.0 / gamma
     else:
         k = -math.expm1(n_steps * math.log1p(-decay)) / gamma
-    r_lam = residuals(recon)
-    r_lam -= lam
-    w = np.subtract(anchor, mask)
-    w *= gamma
-    w -= r_lam
+    w = np.subtract(lam, residuals(recon))
     w *= k
     w += mask
     return w.clip(0.0, 1.0, out=w)
@@ -106,16 +94,15 @@ def model_reconstruction(params: gcn.GcnParams, norm_adj, g: Graph, use_logits: 
     return reconstruct(emb.H2 if use_logits else emb.H1, g.edges)
 
 
-def warmup_mask(g: Graph, adjacency: gcn.Adjacency, pretrained: gcn.GcnParams,
-                lam: float, gamma: float, lr_mask: float, warm_steps: int,
-                init_value: float = 0.5, use_logits: bool = False) -> np.ndarray:
-    """Initialize a uniform mask and pre-shape it with a pretrained model's reconstruction.
+def warmup_mask(g: Graph, adjacency: gcn.Adjacency, mask: np.ndarray,
+                pretrained: gcn.GcnParams, lam: float, gamma: float, lr_mask: float,
+                warm_steps: int, use_logits: bool = False) -> np.ndarray:
+    """Pre-shape g's initial mask with a pretrained model's reconstruction.
 
-    `adjacency` is the `gcn.Adjacency` of g's edges.
+    `adjacency` is the `gcn.Adjacency` of g's edges. Returns `mask` itself
+    when warm_steps is 0, else a new mask.
     """
-    mask = np.full(g.num_edges, float(init_value))
     if warm_steps == 0:
         return mask
-    adj = adjacency.normalized(mask)
-    recon = model_reconstruction(pretrained, adj, g, use_logits)
-    return mask_step(mask, recon, lam, gamma, mask, lr_mask, warm_steps)
+    recon = model_reconstruction(pretrained, adjacency.normalized(mask), g, use_logits)
+    return mask_step(mask, recon, lam, gamma, lr_mask, warm_steps)

@@ -58,7 +58,7 @@ def build_indicator(ref: ReferenceGraph, client_params: gcn.GcnParams, client_id
     """Optimize the client's reference mask with its current model, then ext-vectorize.
 
     Mutates ref.per_client_masks[client_id] (mask state persists across rounds).
-    Before the clip to [0, 1], each call moves every weight by k*(lam - r),
+    Each call sets the mask w to clip(w + k*(lam - r), 0, 1) (`ies.mask_step`),
     k ~ n_steps*lr_aggr: 1e-4 at the defaults, against 0.005 for the clients'
     own masks. lam is the same for every edge, so while no weight clips the
     mask is init - k*sum_t(r_t - lam_t) and the indicator keeps the edges of
@@ -71,7 +71,7 @@ def build_indicator(ref: ReferenceGraph, client_params: gcn.GcnParams, client_id
     if n_steps > 0:
         recon = ies.model_reconstruction(client_params, ref.adjacency.normalized(mask),
                                          g, use_logits)
-        mask = ies.mask_step(mask, recon, lam, gamma, mask, lr_aggr, n_steps)
+        mask = ies.mask_step(mask, recon, lam, gamma, lr_aggr, n_steps)
         ref.per_client_masks[client_id] = mask
     return ext_vectorize(mask, prune_frac)
 

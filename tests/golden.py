@@ -1,10 +1,10 @@
-"""Golden digests: the sha256 of every file of 35 short runs, as written.
+"""Golden digests: the sha256 of every file of 36 short runs, as written.
 
     python3 tests/golden.py        # rewrites tests/golden.json
 
 The runs are the default config at 5 rounds for every method, the
-`bisection`, `louvain` and `overlap` partitions, and seeds 0 and 1, plus five
-runs that each override one key to reach a path the defaults miss.
+`bisection`, `louvain` and `overlap` partitions, and seeds 0 and 1, plus six
+runs whose overrides reach paths the defaults miss.
 `test_golden.py` reruns them and compares each file with the recorded digest.
 Regenerate the file only for a change that is meant to alter run artifacts,
 and say why in CHANGES.md.
@@ -46,6 +46,9 @@ RUNS = [(method, partition, seed, ())
     # the server stage evaluates each aggregated model to step its tau; patience 0
     # lets every round's validation accuracy move tau within the five rounds
     ("CUFL", "bisection", 0, ("fed.tau=adaptive", "fed.tau_patience=0")),
+    # mask step sizes 200x and 10,000x the defaults: client and reference-graph
+    # weights reach 0 and 1, so the mask step's clip acts
+    ("CUFL", "bisection", 0, ("ies.lr_train=0.1", "ies.lr_aggr=0.1")),
 ]
 
 

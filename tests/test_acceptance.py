@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from subfedsim import config, experiment, gcn, graphs, ies, server
+from test_ies import mask_objective
 
 SEEDS = (0, 1, 2)
 
@@ -89,17 +90,17 @@ def test_criterion_01_gradient_oracle(capsys):
         E = rng.integers(2, 12)
         w = rng.random(E)
         recon = rng.uniform(-1, 1, E)
-        anchor_m = rng.random(E)
+        anchor_m = w.copy()  # mask_step anchors the objective at the mask it is given
         lam, gamma, lr = float(rng.random()), 0.3, 1e-4
-        out = ies.mask_step(w.copy(), recon, lam, gamma, anchor_m, lr, 1)
+        out = ies.mask_step(w.copy(), recon, lam, gamma, lr, 1)
         step = (w - out) / lr
         hm = 1e-6
         for i in range(E):
             wp, wm = w.copy(), w.copy()
             wp[i] += hm
             wm[i] -= hm
-            fp = ies.mask_objective(wp, recon, lam, gamma, anchor_m)
-            fm = ies.mask_objective(wm, recon, lam, gamma, anchor_m)
+            fp = mask_objective(wp, recon, lam, gamma, anchor_m)
+            fm = mask_objective(wm, recon, lam, gamma, anchor_m)
             fd = (fp - fm) / (2 * hm)
             worst_mask = max(worst_mask, abs(step[i] - fd) / max(abs(fd), 1e-8))
     ok_mask = worst_mask < 1e-6

@@ -165,9 +165,10 @@ def reference_warmup(states, cfg, init_params):
         pretrained = init_params
     lam = ies.g_lambda(cfg.ies.zeta, cfg.rounds, 1)
     for st in states:
-        st.mask = ies.warmup_mask(st.graph, st.adjacency, pretrained, lam, cfg.ies.gamma,
-                                  cfg.ies.lr_train, cfg.warmup.steps,
-                                  cfg.ies.init_value, cfg.ies.embeddings == "logits")
+        st.mask = ies.warmup_mask(st.graph, st.adjacency,
+                                  np.full(st.graph.num_edges, cfg.ies.init_value),
+                                  pretrained, lam, cfg.ies.gamma, cfg.ies.lr_train,
+                                  cfg.warmup.steps, cfg.ies.embeddings == "logits")
     return pretrained
 
 
@@ -286,8 +287,8 @@ class TestLocalStage:
                                           ref.params, cfg.fed.beta)
             ref.trained, ref.adam = gcn.adam_step(ref.params, grads, ref.adam, cfg.model.lr)
             recon = ies.model_reconstruction(ref.trained, adj, ref.graph)
-            ref.mask = ies.mask_step(ref.mask, recon, lam, cfg.ies.gamma, ref.mask,
-                                     cfg.ies.lr_train, cfg.ies.steps)
+            ref.mask = ies.mask_step(ref.mask, recon, lam, cfg.ies.gamma, cfg.ies.lr_train,
+                                     cfg.ies.steps)
             assert st.mask.tobytes() == ref.mask.tobytes(), t
             assert st.trained.flat.tobytes() == ref.trained.flat.tobytes(), t
             st.params, ref.params = st.trained, ref.trained
