@@ -57,8 +57,13 @@ def weight_proportion_csv(run_dir: str) -> str:
     rounds = _config_value(run_dir, summary, "rounds")
     lines = ["round,proportion"]
     for t in range(1, rounds + 1):
-        sim = _load_matrix(os.path.join(run_dir, f"similarity_round_{t}.csv"))
-        lines.append(f"{t},{float(same_cluster_weight_proportion(sim, clusters))!r}")
+        path = os.path.join(run_dir, f"similarity_round_{t}.csv")
+        sim = _load_matrix(path)
+        try:
+            prop = same_cluster_weight_proportion(sim, clusters)
+        except ValueError as exc:
+            raise AnalysisError(f"{path}: {exc}") from exc
+        lines.append(f"{t},{float(prop)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -6,8 +6,7 @@ import itertools
 import json
 import operator
 import os
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -45,17 +44,7 @@ class ClientState:
     mask: np.ndarray               # edge weights in [0, 1], aligned with graph.edges
     adam: gcn.AdamState
     tau_state: server.TauState
-    adjacency: gcn.Adjacency = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.adjacency = gcn.Adjacency(self.graph.edges, self.graph.num_nodes)
-
-    @cached_property
-    def unmasked_ax(self) -> np.ndarray:
-        """A·X on the unmasked adjacency, computed at first use; it is read-only."""
-        ax = self.adjacency.unmasked @ self.graph.features
-        ax.flags.writeable = False
-        return ax
+    ref_mask: np.ndarray | None = None  # edge weights aligned with the reference graph's edges
 
 
 @dataclass
@@ -77,15 +66,15 @@ class RunResult:
 def same_cluster_weight_proportion(matrix: np.ndarray, clusters: list) -> float:
     """Average per-client fraction of similarity (or weight) mass inside its cluster."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    K = matrix.shape[0]
-    if len(clusters) != K:
-        raise ValueError("clusters must assign every client")
+    K = len(clusters)
+    if matrix.shape != (K, K):
+        raise ValueError(f"a {'x'.join(map(str, matrix.shape))} matrix for {K} clustered clients")
     total = 0.0
     for k in range(K):
         members = np.array([clusters[n] == clusters[k] for n in range(K)])
-        if not members.any():
-            raise ValueError(f"empty cluster for client {k}")
         denom = matrix[k].sum()
+        if not (np.isfinite(denom) and denom != 0):
+            raise ValueError(f"row {k + 1} sums to {float(denom)!r}")
         total += matrix[k][members].sum() / denom
     return total / K
 
@@ -141,7 +130,7 @@ def _evaluate(state: ClientState, params: gcn.GcnParams) -> dict:
     `gcn.accuracy` computes it, or NaN for an empty split.
     """
     g = state.graph
-    emb = gcn.forward(params, state.adjacency.unmasked, g.features, state.unmasked_ax)
+    emb = gcn.forward(params, g.adjacency.unmasked, g.features, g.unmasked_ax)
     hit = np.argmax(emb.H2, axis=1) == g.labels
     out = {}
     for which in (graphs.TRAIN, graphs.VAL, graphs.TEST):
@@ -170,10 +159,10 @@ def _train_epochs(state: ClientState, cfg: ExperimentConfig, method: Method,
     loss = float("nan")
     for _ in range(cfg.epochs):
         if method.mask:  # training and reconstruction share this epoch's A·X
-            adj = state.adjacency.normalized(mask)
+            adj = g.adjacency.normalized(mask)
             AX = adj @ g.features
         else:
-            adj, AX = state.adjacency.unmasked, state.unmasked_ax
+            adj, AX = g.adjacency.unmasked, g.unmasked_ax
         loss, grads = gcn.loss_and_grads(trained, adj, g.features, g.labels,
                                          train_mask, anchor, beta, AX)
         trained, adam = gcn.adam_step(trained, grads, adam, cfg.model.lr)
@@ -191,22 +180,23 @@ def local_training_stage(state: ClientState, t: int, cfg: ExperimentConfig,
     return _train_epochs(state, cfg, method, ies.g_lambda(cfg.ies.zeta, cfg.rounds, t))
 
 
-def server_aggregation_stage(states: list, ref: server.ReferenceGraph, t: int,
+def server_aggregation_stage(states: list, ref: graphs.Graph, t: int,
                              cfg: ExperimentConfig):
     """Indicators, similarity, per-client tau and personalized aggregation.
 
-    Returns (similarity, alpha, taus). Writes the aggregated parameters into
-    each state's `params` for round t+1.
+    Returns (similarity, alpha, taus). Writes each state's stepped `ref_mask`,
+    and its aggregated `params` for round t+1.
     """
     use_logits = cfg.ies.embeddings == "logits"
     lam = ies.g_lambda(cfg.ies.zeta, cfg.rounds, t)
-    indicators = [server.build_indicator(ref, st.trained, k, lam, cfg.ies.gamma,
-                                         cfg.ies.lr_aggr, cfg.ies.steps,
-                                         cfg.fed.prune_frac, use_logits)
-                  for k, st in enumerate(states)]
-    for k, u in enumerate(indicators):
+    indicators = []
+    for k, st in enumerate(states):
+        st.ref_mask, u = server.build_indicator(ref, st.trained, st.ref_mask, lam,
+                                                cfg.ies.gamma, cfg.ies.lr_aggr, cfg.ies.steps,
+                                                cfg.fed.prune_frac, use_logits)
         if not np.any(u):
             raise ValueError(f"zero indicator for client {k} at round {t}")
+        indicators.append(u)
     sim = server.similarity_matrix(indicators)
     all_trained = [st.trained for st in states]
     adaptive = cfg.fed.tau == "adaptive"
@@ -247,9 +237,8 @@ def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams) -> g
     lam = ies.g_lambda(cfg.ies.zeta, cfg.rounds, 1)
     use_logits = cfg.ies.embeddings == "logits"
     for st in states:
-        st.mask = ies.warmup_mask(st.graph, st.adjacency, st.mask, pretrained, lam,
-                                  cfg.ies.gamma, cfg.ies.lr_train, cfg.warmup.steps,
-                                  use_logits)
+        st.mask = ies.warmup_mask(st.graph, st.mask, pretrained, lam, cfg.ies.gamma,
+                                  cfg.ies.lr_train, cfg.warmup.steps, use_logits)
         st.params = st.trained = init_params
         st.adam = gcn.init_adam(init_params)
     return pretrained
@@ -274,14 +263,13 @@ def _write_edge_weights(path: str, rows: list, weights: np.ndarray):
         f.write("\n".join(itertools.chain(("u,v,weight",), lines, ("",))))
 
 
-def _dump_reference_recon(out_dir: str, ref: server.ReferenceGraph, states: list,
+def _dump_reference_recon(out_dir: str, ref: graphs.Graph, states: list,
                           t: int, cfg: ExperimentConfig):
     use_logits = cfg.ies.embeddings == "logits"
-    g = ref.graph
-    rows = _edge_rows(g.edges)  # every client reconstructs the same reference edges
+    rows = _edge_rows(ref.edges)  # every client reconstructs the same reference edges
     for k, st in enumerate(states):
-        adj = ref.adjacency.normalized(ref.per_client_masks[k])
-        recon = ies.model_reconstruction(st.trained, adj, g, use_logits)
+        adj = ref.adjacency.normalized(st.ref_mask)
+        recon = ies.model_reconstruction(st.trained, adj, ref, use_logits)
         _write_edge_weights(os.path.join(out_dir, f"refrecon_round_{t}_client_{k}.csv"),
                             rows, recon)
 
@@ -327,8 +315,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 
     ref = None
     if use_similarity:
-        ref_graph = _build_reference(cfg, g.d_x)
-        ref = server.ReferenceGraph.create(ref_graph, cfg.num_clients, cfg.ies.init_value)
+        ref = _build_reference(cfg, g.d_x)
+        for st in states:
+            st.ref_mask = np.full(ref.num_edges, float(cfg.ies.init_value))
 
     dump_rounds = set(dump_rounds_of(cfg.dump_rounds, cfg.rounds)) if out_dir else set()
     records = []

@@ -246,7 +246,11 @@ class Adjacency:
 
 def normalize_masked_adjacency(edges: np.ndarray, mask_weights: np.ndarray,
                                num_nodes: int) -> CsrMatrix:
-    """Symmetric normalization D^{-1/2} (S*A + I) D^{-1/2} over mask-weighted edges."""
+    """Symmetric normalization D^{-1/2} (S*A + I) D^{-1/2} over mask-weighted edges.
+
+    No run calls it. It stays because BENCHMARK.json declares per-layer metrics for it
+    (ROADMAP item 1), which tests/test_benchmark_hooks.py requires.
+    """
     return Adjacency(edges, num_nodes).normalized(mask_weights)
 
 
@@ -335,7 +339,11 @@ def adam_step(params: GcnParams, grads: GcnParams, state: AdamState, lr: float):
 
 
 def accuracy(emb: Embeddings, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Argmax accuracy over the masked nodes; argmax ties break to smallest class."""
+    """Argmax accuracy over the masked nodes; argmax ties break to smallest class.
+
+    No run calls it. It stays because BENCHMARK.json declares per-layer metrics for it
+    (ROADMAP item 1), which tests/test_benchmark_hooks.py requires.
+    """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("accuracy over an empty split is undefined")

@@ -7,10 +7,13 @@ import os
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 # numpy 2 loads numpy.random lazily, at the first default_rng of a run; load it with the package
 import numpy.random  # noqa: F401
+
+from . import gcn
 
 TRAIN = "train"
 VAL = "val"
@@ -45,6 +48,18 @@ class Graph:
     @property
     def d_x(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def adjacency(self) -> gcn.Adjacency:
+        """The `gcn.Adjacency` of the edges, built at first use: edges and features stay fixed."""
+        return gcn.Adjacency(self.edges, self.num_nodes)
+
+    @cached_property
+    def unmasked_ax(self) -> np.ndarray:
+        """A·X on the unmasked adjacency, computed at first use; it is read-only."""
+        ax = self.adjacency.unmasked @ self.features
+        ax.flags.writeable = False
+        return ax
 
     def validate(self):
         if self.num_nodes < 1:

@@ -94,15 +94,14 @@ def model_reconstruction(params: gcn.GcnParams, norm_adj, g: Graph, use_logits: 
     return reconstruct(emb.H2 if use_logits else emb.H1, g.edges)
 
 
-def warmup_mask(g: Graph, adjacency: gcn.Adjacency, mask: np.ndarray,
-                pretrained: gcn.GcnParams, lam: float, gamma: float, lr_mask: float,
-                warm_steps: int, use_logits: bool = False) -> np.ndarray:
+def warmup_mask(g: Graph, mask: np.ndarray, pretrained: gcn.GcnParams, lam: float,
+                gamma: float, lr_mask: float, warm_steps: int,
+                use_logits: bool = False) -> np.ndarray:
     """Pre-shape g's initial mask with a pretrained model's reconstruction.
 
-    `adjacency` is the `gcn.Adjacency` of g's edges. Returns `mask` itself
-    when warm_steps is 0, else a new mask.
+    Returns `mask` itself when warm_steps is 0, else a new mask.
     """
     if warm_steps == 0:
         return mask
-    recon = model_reconstruction(pretrained, adjacency.normalized(mask), g, use_logits)
+    recon = model_reconstruction(pretrained, g.adjacency.normalized(mask), g, use_logits)
     return mask_step(mask, recon, lam, gamma, lr_mask, warm_steps)

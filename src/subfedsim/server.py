@@ -3,29 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gcn, ies
 from .graphs import Graph
-
-
-@dataclass
-class ReferenceGraph:
-    """Shared random graph plus the per-client masks persisted across rounds."""
-
-    graph: Graph
-    per_client_masks: list = field(default_factory=list)  # K weight arrays over graph.edges
-    adjacency: gcn.Adjacency = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.adjacency = gcn.Adjacency(self.graph.edges, self.graph.num_nodes)
-
-    @classmethod
-    def create(cls, graph: Graph, num_clients: int, init_value: float = 0.5) -> "ReferenceGraph":
-        masks = [np.full(graph.num_edges, float(init_value)) for _ in range(num_clients)]
-        return cls(graph=graph, per_client_masks=masks)
 
 
 def ext_vectorize(mask: np.ndarray, prune_frac: float) -> np.ndarray:
@@ -52,28 +35,25 @@ def ext_vectorize(mask: np.ndarray, prune_frac: float) -> np.ndarray:
     return u
 
 
-def build_indicator(ref: ReferenceGraph, client_params: gcn.GcnParams, client_id: int,
+def build_indicator(ref: Graph, client_params: gcn.GcnParams, mask: np.ndarray,
                     lam: float, gamma: float, lr_aggr: float, n_steps: int,
-                    prune_frac: float = 0.3, use_logits: bool = False) -> np.ndarray:
-    """Optimize the client's reference mask with its current model, then ext-vectorize.
+                    prune_frac: float = 0.3, use_logits: bool = False) -> tuple:
+    """Step a client's reference mask (over ref.edges) with its model, then ext-vectorize.
 
-    Mutates ref.per_client_masks[client_id] (mask state persists across rounds).
-    Each call sets the mask w to clip(w + k*(lam - r), 0, 1) (`ies.mask_step`),
-    k ~ n_steps*lr_aggr: 1e-4 at the defaults, against 0.005 for the clients'
-    own masks. lam is the same for every edge, so while no weight clips the
-    mask is init - k*sum_t(r_t - lam_t) and the indicator keeps the edges of
-    lowest cumulative residual, whatever lam is.
+    Returns (stepped mask, indicator) and writes nothing; with n_steps == 0 the
+    stepped mask is `mask` itself. A step sets w to clip(w + k*(lam - r), 0, 1)
+    (`ies.mask_step`), k ~ n_steps*lr_aggr: 1e-4 at the defaults, against 0.005
+    for the clients' own masks. lam is the same for every edge, so while no
+    weight clips the mask is init - k*sum_t(r_t - lam_t) and the indicator
+    keeps the edges of lowest cumulative residual, whatever lam is.
     """
-    g = ref.graph
-    if g.features.shape[1] != client_params.W1.shape[0]:
+    if ref.features.shape[1] != client_params.W1.shape[0]:
         raise ValueError("client parameters do not match the reference graph features")
-    mask = ref.per_client_masks[client_id]
     if n_steps > 0:
         recon = ies.model_reconstruction(client_params, ref.adjacency.normalized(mask),
-                                         g, use_logits)
+                                         ref, use_logits)
         mask = ies.mask_step(mask, recon, lam, gamma, lr_aggr, n_steps)
-        ref.per_client_masks[client_id] = mask
-    return ext_vectorize(mask, prune_frac)
+    return mask, ext_vectorize(mask, prune_frac)
 
 
 def linear_cka(u: np.ndarray, v: np.ndarray) -> float:

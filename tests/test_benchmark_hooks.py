@@ -44,6 +44,9 @@ def test_traced_run_reaches_every_hook(tmp_path, method):
         assert m["experiment.artifacts.files"] > 0
         assert m["ies.reconstruct.calls"] > 0
         assert m["server.similarity_matrix.pairs"] == 2  # one client pair in each of 2 rounds
+        # the pinned functions are still called, not only still defined
+        assert m["server.build_indicator.calls"] == 4  # 2 rounds x 2 clients
+        assert m["ies.warmup_mask.calls"] == 2  # once per client
     else:  # the path of the FedAvg workload: one Adam step per client and round
         assert m["gcn.adam_step.calls"] == 4
         assert m["server.similarity_matrix.pairs"] == 0

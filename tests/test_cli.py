@@ -447,6 +447,26 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "similarity_round_2.csv: " in err
 
+    @pytest.mark.parametrize("matrix, clusters, message", [
+        ("1,0,0\n0,1,0\n0,0,1\n1,1,1\n", [0, 0, 1, 1],
+         "a 4x3 matrix for 4 clustered clients"),
+        ("1,0.5\n0.5,1\n", [0, 0, 1, 1], "a 2x2 matrix for 4 clustered clients"),
+        ("0,0\n0,0\n", None, "row 1 sums to 0.0"),
+    ], ids=["4x3", "2x2-for-4", "all-zero"])
+    def test_weight_proportion_names_malformed_matrix(self, run_dir, tmp_path, capsys,
+                                                      matrix, clusters, message):
+        bad = tmp_path / "malformed"
+        shutil.copytree(run_dir, bad)
+        if clusters is not None:
+            summary = json.loads((bad / "summary.json").read_text())
+            summary["clusters"] = clusters
+            (bad / "summary.json").write_text(json.dumps(summary))
+        (bad / "similarity_round_1.csv").write_text(matrix)
+        assert run_cli("analyze", "weight-proportion", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{bad / 'similarity_round_1.csv'}: {message}" in err
+
     def test_weight_proportion_to_file(self, run_dir, tmp_path):
         dest = tmp_path / "prop.csv"
         assert run_cli("analyze", "weight-proportion", str(run_dir),

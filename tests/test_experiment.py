@@ -40,6 +40,14 @@ def make_state(k, cfg, seed=0, params=None, block_size=15):
         tau_state=server.TauState())
 
 
+def make_reference(cfg, states):
+    """The run's reference graph, with a fresh reference mask for each state."""
+    ref = experiment._build_reference(cfg, cfg.dataset.dx)
+    for st in states:
+        st.ref_mask = np.full(ref.num_edges, cfg.ies.init_value)
+    return ref
+
+
 class TestMixSeed:
     def test_deterministic(self):
         assert experiment.mix_seed(7, 3, 11) == experiment.mix_seed(7, 3, 11)
@@ -154,7 +162,7 @@ def reference_warmup(states, cfg, init_params):
                 g = st.graph
                 tm = st.split.mask(graphs.TRAIN)
                 for _ in range(cfg.epochs):
-                    _, grads = gcn.loss_and_grads(trained, st.adjacency.unmasked,
+                    _, grads = gcn.loss_and_grads(trained, g.adjacency.unmasked,
                                                   g.features, g.labels,
                                                   tm, global_p, cfg.fed.beta)
                     trained, adam = gcn.adam_step(trained, grads, adam, cfg.model.lr)
@@ -165,8 +173,7 @@ def reference_warmup(states, cfg, init_params):
         pretrained = init_params
     lam = ies.g_lambda(cfg.ies.zeta, cfg.rounds, 1)
     for st in states:
-        st.mask = ies.warmup_mask(st.graph, st.adjacency,
-                                  np.full(st.graph.num_edges, cfg.ies.init_value),
+        st.mask = ies.warmup_mask(st.graph, np.full(st.graph.num_edges, cfg.ies.init_value),
                                   pretrained, lam, cfg.ies.gamma, cfg.ies.lr_train,
                                   cfg.warmup.steps, cfg.ies.embeddings == "logits")
     return pretrained
@@ -193,7 +200,7 @@ def test_warmup_matches_reference_bytes(rounds, epochs):
 def reference_evaluate(state, params):
     """The former evaluation: its own A·X, and one `gcn.accuracy` call per split."""
     g = state.graph
-    emb = gcn.forward(params, state.adjacency.unmasked, g.features)
+    emb = gcn.forward(params, g.adjacency.unmasked, g.features)
     out = {}
     for which in (graphs.TRAIN, graphs.VAL, graphs.TEST):
         m = state.split.mask(which)
@@ -221,13 +228,20 @@ def test_evaluate_matches_per_split_accuracy_bytes():
 class TestPropagationCache:
     def test_fedavg_run_propagates_once_per_client(self, monkeypatch):
         """Training and evaluation on the unmasked graph all read one cached A·X."""
-        cache = experiment.ClientState.unmasked_ax  # the cached_property itself
+        cache = graphs.Graph.unmasked_ax  # the cached_property itself
         fill = cache.func
         fills = []
 
-        def counting_fill(state):
-            fills.append(state.client_id)
-            return fill(state)
+        def counting_fill(g):
+            fills.append(id(g))
+            return fill(g)
+
+        induced_subgraph = graphs.induced_subgraph
+        clients = []
+
+        def recorded_subgraph(g, nodes):
+            clients.append(induced_subgraph(g, nodes))
+            return clients[-1]
 
         forward = gcn.forward
         uncached = []
@@ -237,19 +251,21 @@ class TestPropagationCache:
             return forward(params, norm_adj, features, AX)
 
         monkeypatch.setattr(cache, "func", counting_fill)
+        monkeypatch.setattr(graphs, "induced_subgraph", recorded_subgraph)
         monkeypatch.setattr(gcn, "forward", checked_forward)
         cfg = config.ExperimentConfig(method="FedAvg", rounds=3, num_clients=2)
         res = experiment.run_experiment(cfg)
         assert len(res.records) == 3
-        assert sorted(fills) == [0, 1]
+        assert len(clients) == 2
+        assert sorted(fills) == sorted(map(id, clients))  # once per client graph
         # 3 rounds x 2 clients, one training and one evaluation forward each
         assert len(uncached) == 12 and not any(uncached)
 
     def test_cached_ax_is_read_only(self):
-        st = make_state(0, tiny_cfg())
-        ax = st.unmasked_ax
-        assert st.unmasked_ax is ax
-        assert ax.tobytes() == (st.adjacency.unmasked @ st.graph.features).tobytes()
+        g = make_state(0, tiny_cfg()).graph
+        ax = g.unmasked_ax
+        assert g.unmasked_ax is ax
+        assert ax.tobytes() == (g.adjacency.unmasked @ g.features).tobytes()
         with pytest.raises(ValueError):
             ax[0, 0] = 1.0
 
@@ -281,7 +297,7 @@ class TestLocalStage:
         for t, lam in zip((1, 2, 3), lams):
             experiment.local_training_stage(st, t, cfg, config.METHODS["CUFL"])
             # the same round by hand: one epoch, then a mask step at g_lambda(t)
-            adj = ref.adjacency.normalized(ref.mask)
+            adj = ref.graph.adjacency.normalized(ref.mask)
             _, grads = gcn.loss_and_grads(ref.params, adj, ref.graph.features,
                                           ref.graph.labels, ref.split.mask(graphs.TRAIN),
                                           ref.params, cfg.fed.beta)
@@ -302,15 +318,13 @@ class TestLocalStage:
 
 
 class TestServerStage:
-    def build_ref(self, cfg, K):
-        g = experiment._build_reference(cfg, cfg.dataset.dx)
-        return server.ReferenceGraph.create(g, K, cfg.ies.init_value)
-
     def test_single_client_keeps_own_params(self):
         cfg = tiny_cfg(num_clients=1)
         st = make_state(0, cfg)
-        ref = self.build_ref(cfg, 1)
+        ref = make_reference(cfg, [st])
+        before = st.ref_mask
         sim, alpha, taus = experiment.server_aggregation_stage([st], ref, 1, cfg)
+        assert not np.array_equal(st.ref_mask, before)  # the stepped mask is kept
         assert np.array_equal(sim, [[1.0]])
         assert np.array_equal(alpha, [[1.0]])
         assert st.params.sq_distance(st.trained) == 0.0
@@ -319,12 +333,23 @@ class TestServerStage:
         cfg = tiny_cfg()
         shared = gcn.init_params(cfg.dataset.dx, cfg.model.hidden, 2, seed=5)
         states = [make_state(k, cfg, params=shared) for k in range(3)]
-        ref = self.build_ref(cfg, 3)
+        ref = make_reference(cfg, states)
         sim, alpha, _ = experiment.server_aggregation_stage(states, ref, 1, cfg)
         assert np.allclose(sim, 1.0)
         assert np.allclose(alpha, 1.0 / 3.0)
         for st in states:
             assert st.params.sq_distance(shared) < 1e-24
+
+    def test_zero_reference_mask_names_client_and_round(self):
+        """At lambda = 0 a step never raises a weight (r >= 0), so an all-zero
+        reference mask stays all zero and its indicator is the zero vector."""
+        cfg = tiny_cfg(num_clients=3)
+        states = [make_state(k, cfg) for k in range(3)]
+        ref = make_reference(cfg, states)
+        states[2].ref_mask = np.zeros(ref.num_edges)
+        assert ies.g_lambda(cfg.ies.zeta, cfg.rounds, 0) == 0.0
+        with pytest.raises(ValueError, match=r"^zero indicator for client 2 at round 0$"):
+            experiment.server_aggregation_stage(states, ref, 0, cfg)
 
 
 class TestFedAvgReduction:
@@ -618,8 +643,7 @@ def test_edge_rows_serve_several_files(tmp_path, num_edges):
 def test_reference_rows_are_built_once_per_dump(tmp_path, monkeypatch):
     cfg = tiny_cfg(num_clients=3)
     states = [make_state(k, cfg) for k in range(3)]
-    ref = server.ReferenceGraph.create(experiment._build_reference(cfg, cfg.dataset.dx), 3,
-                                       cfg.ies.init_value)
+    ref = make_reference(cfg, states)
     calls = []
     edge_rows = experiment._edge_rows
 
@@ -632,7 +656,7 @@ def test_reference_rows_are_built_once_per_dump(tmp_path, monkeypatch):
     assert len(calls) == 1
     for k in range(3):
         assert (tmp_path / f"refrecon_round_1_client_{k}.csv").read_text().count("\n") \
-            == ref.graph.num_edges + 1
+            == ref.num_edges + 1
 
 
 def reference_write_matrix(path, mat):

@@ -232,8 +232,7 @@ class TestWarmupMask:
         g = line_graph()
         params = gcn.init_params(3, 4, 2, seed=0)
         lam = ies.g_lambda(1.5, 100, 1)
-        mask = ies.warmup_mask(g, gcn.Adjacency(g.edges, g.num_nodes),
-                               np.full(g.num_edges, 0.25), params, lam, 0.001, 0.0005, 0)
+        mask = ies.warmup_mask(g, np.full(g.num_edges, 0.25), params, lam, 0.001, 0.0005, 0)
         assert np.all(mask == 0.25)
 
     def test_perfect_reconstruction_grows_weights(self):
@@ -243,8 +242,7 @@ class TestWarmupMask:
         params = gcn.GcnParams(W1=np.eye(3), b1=np.zeros(3),
                                W2=np.zeros((3, 2)), b2=np.zeros(2))
         lam = ies.g_lambda(1.5, 100, 1)
-        mask = ies.warmup_mask(g, gcn.Adjacency(g.edges, g.num_nodes),
-                               np.full(g.num_edges, 0.5), params, lam, 0.0, 0.01, 5)
+        mask = ies.warmup_mask(g, np.full(g.num_edges, 0.5), params, lam, 0.0, 0.01, 5)
         assert np.all(mask > 0.5)
 
     def test_single_step_arithmetic(self):
@@ -255,7 +253,7 @@ class TestWarmupMask:
 
 
 def test_warmup_mask_matches_one_shot_adjacency_bytes():
-    """Reusing the client's Adjacency gives the mask the per-call normalization gave."""
+    """Reusing the graph's cached Adjacency gives the mask the per-call normalization gave."""
     g = graphs.generate_sbm(2, 30, 0.3, 0.05, 16, 2, np.random.default_rng(3))
     params = gcn.init_params(16, 32, 2, seed=4)
     lam = ies.g_lambda(1.5, 50, 1)
@@ -264,8 +262,7 @@ def test_warmup_mask_matches_one_shot_adjacency_bytes():
         adj = gcn.normalize_masked_adjacency(g.edges, mask, g.num_nodes)
         recon = ies.model_reconstruction(params, adj, g, use_logits)
         want = ies.mask_step(mask, recon, lam, 0.001, 0.0005, 10)
-        got = ies.warmup_mask(g, gcn.Adjacency(g.edges, g.num_nodes), mask, params, lam,
-                              0.001, 0.0005, 10, use_logits)
+        got = ies.warmup_mask(g, mask, params, lam, 0.001, 0.0005, 10, use_logits)
         assert got.tobytes() == want.tobytes(), use_logits
 
 

@@ -5,10 +5,12 @@ from hypothesis import given, strategies as st
 from subfedsim import config, gcn, graphs, ies, server
 
 
-def small_ref(num_clients=3, seed=0):
-    g = graphs.generate_sbm(2, 10, 0.5, 0.1, 6, 2,
-                            np.random.default_rng(seed))
-    return server.ReferenceGraph.create(g, num_clients)
+def small_ref(seed=0):
+    return graphs.generate_sbm(2, 10, 0.5, 0.1, 6, 2, np.random.default_rng(seed))
+
+
+def uniform_mask(ref, value=0.5):
+    return np.full(ref.num_edges, value)
 
 
 def lam(t):
@@ -206,39 +208,43 @@ class TestAggregate:
 class TestBuildIndicator:
     def test_prune_count_and_shape(self):
         ref = small_ref()
-        d = ref.graph.features.shape[1]
+        d = ref.features.shape[1]
         params = gcn.init_params(d, 8, 2, seed=0)
-        vec = server.build_indicator(ref, params, 0, lam(1), 0.001, 1e-5, 10)
-        E = ref.graph.num_edges
+        _, vec = server.build_indicator(ref, params, uniform_mask(ref), lam(1), 0.001, 1e-5, 10)
+        E = ref.num_edges
         assert vec.shape == (E,)
         assert int((vec == 0.0).sum()) >= int(np.floor(0.3 * E))
 
     def test_mask_state_persists(self):
         ref = small_ref()
-        d = ref.graph.features.shape[1]
+        d = ref.features.shape[1]
         params = gcn.init_params(d, 8, 2, seed=1)
-        before = ref.per_client_masks[1].copy()
-        server.build_indicator(ref, params, 1, lam(1), 0.001, 0.01, 10)
-        after = ref.per_client_masks[1]
+        mask = uniform_mask(ref)
+        mask.flags.writeable = False  # the step returns a new mask and writes nothing
+        before = mask.copy()
+        after, _ = server.build_indicator(ref, params, mask, lam(1), 0.001, 0.01, 10)
         assert not np.array_equal(before, after)
-        # other clients untouched
-        assert np.all(ref.per_client_masks[0] == 0.5)
+        # the input mask untouched
+        assert np.all(mask == 0.5)
 
     def test_deterministic(self):
         out = []
         for _ in range(2):
             ref = small_ref(seed=2)
-            d = ref.graph.features.shape[1]
+            d = ref.features.shape[1]
             params = gcn.init_params(d, 8, 2, seed=3)
-            out.append(server.build_indicator(ref, params, 0, lam(2), 0.001, 1e-5, 10))
+            out.append(server.build_indicator(ref, params, uniform_mask(ref), lam(2), 0.001,
+                                              1e-5, 10)[1])
         assert np.array_equal(out[0], out[1])
 
     def test_zero_steps_keeps_mask(self):
         ref = small_ref()
-        d = ref.graph.features.shape[1]
+        d = ref.features.shape[1]
         params = gcn.init_params(d, 8, 2, seed=0)
-        server.build_indicator(ref, params, 0, lam(1), 0.001, 1e-5, 0)
-        assert np.all(ref.per_client_masks[0] == 0.5)
+        mask = uniform_mask(ref)
+        stepped, _ = server.build_indicator(ref, params, mask, lam(1), 0.001, 1e-5, 0)
+        assert stepped is mask
+        assert np.all(mask == 0.5)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_support_does_not_depend_on_lambda(self, seed):
@@ -249,25 +255,23 @@ class TestBuildIndicator:
         d = cfg.dataset.dx
         g = graphs.generate_sbm(2, 30, 0.3, 0.05, d, 2, seed=seed)
         params = gcn.init_params(d, cfg.model.hidden, 2, seed=seed + 10)
-        ref = server.ReferenceGraph.create(g, 1, cfg.ies.init_value)
-        r = ies.residuals(ies.model_reconstruction(
-            params, ref.adjacency.normalized(ref.per_client_masks[0]), g))
+        init = uniform_mask(g, cfg.ies.init_value)
+        r = ies.residuals(ies.model_reconstruction(params, g.adjacency.normalized(init), g))
         assert np.diff(np.sort(r)).min() > 1e-9  # no near-ties
         kept = g.num_edges - int(np.floor(cfg.fed.prune_frac * g.num_edges))
         lowest = np.sort(np.argsort(r)[:kept])
         for lam_ in (0.0, 0.5, 1.0):
-            ref = server.ReferenceGraph.create(g, 1, cfg.ies.init_value)
-            vec = server.build_indicator(ref, params, 0, lam_, cfg.ies.gamma, cfg.ies.lr_aggr,
-                                         cfg.ies.steps, cfg.fed.prune_frac)
-            mask = ref.per_client_masks[0]
+            mask, vec = server.build_indicator(g, params, init, lam_, cfg.ies.gamma,
+                                               cfg.ies.lr_aggr, cfg.ies.steps,
+                                               cfg.fed.prune_frac)
             assert 0.0 < mask.min() and mask.max() < 1.0  # no weight clipped
             assert np.array_equal(np.flatnonzero(vec), lowest)
 
     def test_feature_mismatch_rejected(self):
         ref = small_ref()
-        bad = gcn.init_params(ref.graph.features.shape[1] + 1, 8, 2, seed=0)
+        bad = gcn.init_params(ref.features.shape[1] + 1, 8, 2, seed=0)
         with pytest.raises(ValueError):
-            server.build_indicator(ref, bad, 0, lam(1), 0.001, 1e-5, 10)
+            server.build_indicator(ref, bad, uniform_mask(ref), lam(1), 0.001, 1e-5, 10)
 
 
 class TestTauSchedule:
