@@ -8,7 +8,7 @@ import os
 import numpy as np
 
 from .config import dump_rounds_of
-from .experiment import same_cluster_weight_proportion
+from .experiment import reference_recon_header, same_cluster_weight_proportion
 from .graphs import _convert, _read_csv
 
 
@@ -67,9 +67,11 @@ def weight_proportion_csv(run_dir: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_recon(path: str) -> np.ndarray:
-    return np.array([_convert(path, lineno, float, fields)[2]
-                     for lineno, fields in _read_csv(path, "u,v,weight")])
+def _load_recon(path: str, K: int) -> np.ndarray:
+    """The (E, K) reconstructions of a `refrecon_round_{t}.csv`, column k client k's."""
+    rows = [_convert(path, lineno, float, fields)
+            for lineno, fields in _read_csv(path, reference_recon_header(K))]
+    return np.array(rows).reshape(-1, K + 2)[:, 2:]
 
 
 def bin_match_ratio(ref_recon: np.ndarray, other_recon: np.ndarray,
@@ -109,15 +111,15 @@ def bin_match_csv(run_dir: str, num_bins: int = 5) -> str:
         path = os.path.join(run_dir, "summary.json")
         raise AnalysisError(f"{path}: config.dump_rounds gives the dump rounds "
                             f"{list(dump_rounds)}; bin-match needs two distinct rounds")
-    t0, t1 = min(dump_rounds), max(dump_rounds)
+    paths = [os.path.join(run_dir, f"refrecon_round_{t}.csv")
+             for t in (min(dump_rounds), max(dump_rounds))]
+    ref, other = (_load_recon(path, K) for path in paths)
+    if len(ref) != len(other):
+        raise AnalysisError(f"{paths[0]} has {len(ref)} edges but {paths[1]} has "
+                            f"{len(other)}; reconstructions must share the edge list")
     lines = ["bin,ratio,client"]
     for k in range(K):
-        paths = [os.path.join(run_dir, f"refrecon_round_{t}_client_{k}.csv") for t in (t0, t1)]
-        ref, other = map(_load_recon, paths)
-        if ref.size != other.size:
-            raise AnalysisError(f"{paths[0]} has {ref.size} edges but {paths[1]} has "
-                                f"{other.size}; reconstructions must share the edge list")
-        ratios = bin_match_ratio(ref, other, num_bins)
+        ratios = bin_match_ratio(ref[:, k], other[:, k], num_bins)
         for b, r in enumerate(ratios):
             lines.append(f"{b},{'' if np.isnan(r) else repr(float(r))},{k}")
     return "\n".join(lines) + "\n"

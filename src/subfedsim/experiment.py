@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 import json
-import operator
 import os
 from dataclasses import dataclass
 
@@ -255,29 +253,46 @@ def _edge_rows(edges: np.ndarray) -> list:
     return [f"{u},{v}," for u, v in edges.tolist()]
 
 
-def _write_edge_weights(path: str, rows: list, weights: np.ndarray):
-    # repr of a Python float is `_fmt`'s shortest round-trip decimal
-    lines = map(operator.add, rows, map(repr, weights.tolist()))
+_ROW_BLOCK = 256  # lines formatted per write: the text of one block is held, not a file's
+
+
+def _write_edge_weights(path: str, rows: list, header: str, weights: np.ndarray):
+    """`header`, then one line per edge: `rows[i]` and row i of the (E, C) `weights`."""
+    C = weights.shape[1]
+    line = "%s" + ",".join(["%r"] * C) + "\n"  # %r of a Python float is `_fmt`'s repr
     with open(path, "w", newline="\n") as f:
-        # header, rows and final newline in one join: the text is built once, not copied
-        f.write("\n".join(itertools.chain(("u,v,weight",), lines, ("",))))
+        f.write(header + "\n")
+        for i in range(0, len(rows), _ROW_BLOCK):
+            block = weights[i:i + _ROW_BLOCK]
+            fields = [None] * (block.size + len(block))  # per line: its prefix, C weights
+            fields[::C + 1] = rows[i:i + _ROW_BLOCK]
+            for c in range(C):
+                fields[c + 1::C + 1] = block[:, c].tolist()
+            f.write((line * len(block)) % tuple(fields))
+
+
+def reference_recon_header(num_clients: int) -> str:
+    """Header of `refrecon_round_{t}.csv`: the edge, then one column per client."""
+    return "u,v," + ",".join(f"client_{k}" for k in range(num_clients))
 
 
 def _dump_reference_recon(out_dir: str, ref: graphs.Graph, states: list,
                           t: int, cfg: ExperimentConfig):
+    """One file for the round: the reference edges once, then client k's
+    reconstruction of them in column `client_k`."""
     use_logits = cfg.ies.embeddings == "logits"
-    rows = _edge_rows(ref.edges)  # every client reconstructs the same reference edges
+    recon = np.empty((ref.num_edges, len(states)))
     for k, st in enumerate(states):
         adj = ref.adjacency.normalized(st.ref_mask)
-        recon = ies.model_reconstruction(st.trained, adj, ref, use_logits)
-        _write_edge_weights(os.path.join(out_dir, f"refrecon_round_{t}_client_{k}.csv"),
-                            rows, recon)
+        recon[:, k] = ies.model_reconstruction(st.trained, adj, ref, use_logits)
+    _write_edge_weights(os.path.join(out_dir, f"refrecon_round_{t}.csv"),
+                        _edge_rows(ref.edges), reference_recon_header(len(states)), recon)
 
 
 def _dump_masks(out_dir: str, states: list, t: int):
     for k, st in enumerate(states):
         _write_edge_weights(os.path.join(out_dir, f"mask_round_{t}_client_{k}.csv"),
-                            _edge_rows(st.graph.edges), st.mask)
+                            _edge_rows(st.graph.edges), "u,v,weight", st.mask[:, None])
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,

@@ -56,28 +56,37 @@ def build_indicator(ref: Graph, client_params: gcn.GcnParams, mask: np.ndarray,
     return mask, ext_vectorize(mask, prune_frac)
 
 
-def linear_cka(u: np.ndarray, v: np.ndarray) -> float:
-    """Linear CKA of two indicator vectors: squared cosine of their angle."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
+def _cka(u: np.ndarray, v: np.ndarray, uu: float, vv: float) -> float:
+    """Linear CKA of the 1-D float64 u and v, given uu = u @ u and vv = v @ v."""
     if u.shape != v.shape:
         raise ValueError("indicators must have equal length")
-    uu = float(u @ u)
-    vv = float(v @ v)
     if uu == 0.0 or vv == 0.0:
         raise ValueError("linear CKA is undefined for a zero vector")
     uv = float(u @ v)
     return (uv * uv) / (uu * vv)
 
 
+def linear_cka(u: np.ndarray, v: np.ndarray) -> float:
+    """Linear CKA of two indicator vectors: squared cosine of their angle."""
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    return _cka(u, v, float(u @ u), float(v @ v))
+
+
 def similarity_matrix(indicators: list) -> np.ndarray:
-    """Pairwise linear CKA; symmetric with unit diagonal."""
-    K = len(indicators)
+    """Pairwise linear CKA; symmetric with unit diagonal.
+
+    Each entry equals `linear_cka` of its pair bit for bit; each u @ u is
+    computed once, not once per pair.
+    """
+    vecs = [np.asarray(u, dtype=np.float64).ravel() for u in indicators]
+    sq = [float(u @ u) for u in vecs]
+    K = len(vecs)
     sim = np.eye(K)
     for k in range(K):
         for n in range(k + 1, K):
             try:
-                s = linear_cka(indicators[k], indicators[n])
+                s = _cka(vecs[k], vecs[n], sq[k], sq[n])
             except ValueError as exc:
                 raise ValueError(f"similarity failed for clients {k},{n}: {exc}") from exc
             sim[k, n] = sim[n, k] = s

@@ -362,7 +362,7 @@ def fedavg_run_dir(tmp_path_factory):
 class TestAnalyze:
     @pytest.mark.parametrize("analysis, missing", [
         ("weight-proportion", "similarity_round_1.csv"),
-        ("bin-match", "refrecon_round_1_client_0.csv"),
+        ("bin-match", "refrecon_round_1.csv"),
     ])
     def test_fedavg_run_names_the_missing_file_one_way(self, fedavg_run_dir, capsys,
                                                        analysis, missing):
@@ -403,10 +403,25 @@ class TestAnalyze:
     def test_bin_match_names_malformed_recon_line(self, run_dir, tmp_path, capsys):
         bad = tmp_path / "bad-recon"
         shutil.copytree(run_dir, bad)
-        (bad / "refrecon_round_1_client_0.csv").write_text("u,v,weight\n0,1,abc\n")
+        (bad / "refrecon_round_1.csv").write_text("u,v,client_0,client_1\n0,1,0.5,abc\n")
         assert run_cli("analyze", "bin-match", str(bad)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "refrecon_round_1_client_0.csv:2: " in err
+        assert err.startswith("error:") and "refrecon_round_1.csv:2: " in err
+
+    @pytest.mark.parametrize("header", ["u,v,weight", "u,v,client_0",
+                                        "u,v,client_0,client_1,client_2",
+                                        "u,v,client_1,client_0"])
+    def test_bin_match_names_recon_header_of_other_clients(self, run_dir, tmp_path, capsys,
+                                                           header):
+        bad = tmp_path / "bad-header"
+        shutil.copytree(run_dir, bad)
+        path = bad / "refrecon_round_2.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([header + "\n"] + lines[1:]))
+        assert run_cli("analyze", "bin-match", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{path}:1: expected header 'u,v,client_0,client_1'" in err
 
     def test_bin_match_names_malformed_summary(self, run_dir, tmp_path, capsys):
         bad = tmp_path / "bad-summary"
@@ -431,13 +446,13 @@ class TestAnalyze:
                                                                  capsys):
         bad = tmp_path / "short-recon"
         shutil.copytree(run_dir, bad)
-        path = bad / "refrecon_round_2_client_0.csv"
+        path = bad / "refrecon_round_2.csv"
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
         assert run_cli("analyze", "bin-match", str(bad)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "refrecon_round_1_client_0.csv has" in err
-        assert "refrecon_round_2_client_0.csv has 2" in err
+        assert "refrecon_round_1.csv has" in err
+        assert "refrecon_round_2.csv has 2" in err
 
     def test_weight_proportion_names_ragged_matrix(self, run_dir, tmp_path, capsys):
         bad = tmp_path / "ragged"
@@ -493,11 +508,25 @@ class TestAnalyze:
                 {"config": {"rounds": 2, "num_clients": 1, "dump_rounds": dump_rounds}}))
             for t, values in recon.items():
                 rows = "".join(f"{i},{i + 1},{v!r}\n" for i, v in enumerate(values))
-                (run / f"refrecon_round_{t}_client_0.csv").write_text("u,v,weight\n" + rows)
+                (run / f"refrecon_round_{t}.csv").write_text("u,v,client_0\n" + rows)
             assert run_cli("analyze", "bin-match", str(run)) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[1:] == ["0,0.5,0", "1,,0", "2,,0", "3,,0", "4,1.0,0"]
+
+    def test_bin_match_reads_column_k_for_client_k(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "summary.json").write_text(json.dumps(
+            {"config": {"rounds": 2, "num_clients": 2, "dump_rounds": None}}))
+        recon = {1: [(-0.9, 0.9), (-0.9, 0.9)], 2: [(-0.9, 0.9), (0.9, 0.9)]}
+        for t, rows in recon.items():
+            (run / f"refrecon_round_{t}.csv").write_text("u,v,client_0,client_1\n" + "".join(
+                f"{i},{i + 1},{a!r},{b!r}\n" for i, (a, b) in enumerate(rows)))
+        assert run_cli("analyze", "bin-match", str(run)) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines == ["0,0.5,0", "1,,0", "2,,0", "3,,0", "4,,0",
+                         "0,,1", "1,,1", "2,,1", "3,,1", "4,1.0,1"]
 
     @pytest.mark.parametrize("dump_rounds", [[], [2], [1, 1]], ids=["[]", "[2]", "[1,1]"])
     def test_bin_match_needs_two_distinct_dump_rounds(self, tmp_path, capsys, dump_rounds):
@@ -506,7 +535,7 @@ class TestAnalyze:
         (run / "summary.json").write_text(json.dumps(
             {"config": {"rounds": 2, "num_clients": 1, "dump_rounds": dump_rounds}}))
         for t in (1, 2):
-            (run / f"refrecon_round_{t}_client_0.csv").write_text("u,v,weight\n0,1,0.5\n")
+            (run / f"refrecon_round_{t}.csv").write_text("u,v,client_0\n0,1,0.5\n")
         assert run_cli("analyze", "bin-match", str(run)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")

@@ -419,7 +419,8 @@ class TestRunExperiment:
             assert rec.alpha.sum(axis=1) == pytest.approx([1.0, 1.0])
             assert 0.0 <= rec.same_cluster_proportion <= 1.0
         assert (out / "mask_round_1_client_0.csv").exists()
-        assert (out / "refrecon_round_3_client_1.csv").exists()
+        assert (out / "refrecon_round_3.csv").exists()
+        assert not list(out.glob("refrecon_round_*_client_*.csv"))
 
     def test_partition_count_mismatch_rejected(self, tmp_path):
         # validate() checks an overlap partition's count; a file's is known once read
@@ -607,24 +608,31 @@ class TestGeneratorTable:
             config.from_dict({"reference": {"kind": "dir"}})
 
 
-def reference_write_edge_weights(path, edges, weights):
+def reference_write_edge_weights(path, edges, header, weights):
     with open(path, "w", newline="\n") as f:
-        f.write("u,v,weight\n")
-        for (u, v), w in zip(edges, weights):
-            f.write(f"{u},{v},{graphs._fmt(w)}\n")
+        f.write(header + "\n")
+        for (u, v), row in zip(edges, weights):
+            f.write(f"{u},{v}," + ",".join(graphs._fmt(w) for w in row) + "\n")
+
+
+def edge_weight_header(columns):
+    return "u,v," + (",".join(f"client_{k}" for k in range(columns)) if columns > 1
+                     else "weight")
 
 
 @pytest.mark.parametrize("num_edges", [0, 1, 500])
 def test_edge_weight_writer_matches_fmt_reference(tmp_path, num_edges):
     rng = np.random.default_rng(num_edges)
     edges = np.sort(rng.integers(0, 10**6, size=(num_edges, 2)), axis=1)
-    weights = rng.random(num_edges)
     special = [0.0, 1.0, 1e-300, 5e-324, -0.0, 1 / 3, 1e16]
-    weights[:len(special)] = special[:num_edges]
-    experiment._write_edge_weights(str(tmp_path / "new.csv"), experiment._edge_rows(edges),
-                                   weights)
-    reference_write_edge_weights(str(tmp_path / "ref.csv"), edges, weights)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    for columns in (1, 3):  # a mask file, and a reference reconstruction of 3 clients
+        weights = rng.random((num_edges, columns))
+        weights.ravel()[:len(special)] = special[:weights.size]
+        header = edge_weight_header(columns)
+        experiment._write_edge_weights(str(tmp_path / "new.csv"),
+                                       experiment._edge_rows(edges), header, weights)
+        reference_write_edge_weights(str(tmp_path / "ref.csv"), edges, header, weights)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("num_edges", [0, 1, 500])
@@ -632,10 +640,13 @@ def test_edge_rows_serve_several_files(tmp_path, num_edges):
     rng = np.random.default_rng(num_edges + 1)
     edges = np.sort(rng.integers(0, 10**6, size=(num_edges, 2)), axis=1)
     rows = experiment._edge_rows(edges)
-    for name in ("a", "b"):  # a one-shot iterator would leave the second file empty
-        weights = rng.random(num_edges)
-        experiment._write_edge_weights(str(tmp_path / f"{name}.csv"), rows, weights)
-        reference_write_edge_weights(str(tmp_path / f"{name}_ref.csv"), edges, weights)
+    for name, columns in (("a", 1), ("b", 1), ("c", 3)):
+        # a one-shot iterator would leave every file after the first empty
+        weights = rng.random((num_edges, columns))
+        header = edge_weight_header(columns)
+        experiment._write_edge_weights(str(tmp_path / f"{name}.csv"), rows, header, weights)
+        reference_write_edge_weights(str(tmp_path / f"{name}_ref.csv"), edges, header,
+                                     weights)
         assert ((tmp_path / f"{name}.csv").read_bytes()
                 == (tmp_path / f"{name}_ref.csv").read_bytes())
 
@@ -654,9 +665,16 @@ def test_reference_rows_are_built_once_per_dump(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "_edge_rows", counted)
     experiment._dump_reference_recon(str(tmp_path), ref, states, 1, cfg)
     assert len(calls) == 1
-    for k in range(3):
-        assert (tmp_path / f"refrecon_round_1_client_{k}.csv").read_text().count("\n") \
-            == ref.num_edges + 1
+    assert sorted(os.listdir(tmp_path)) == ["refrecon_round_1.csv"]
+    text = (tmp_path / "refrecon_round_1.csv").read_text()
+    assert text.count("\n") == ref.num_edges + 1
+    assert text.startswith("u,v,client_0,client_1,client_2\n")
+    table = np.loadtxt(tmp_path / "refrecon_round_1.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(table[:, :2], ref.edges)
+    for k, st in enumerate(states):  # column k is client k's reconstruction, bit for bit
+        recon = ies.model_reconstruction(st.trained, ref.adjacency.normalized(st.ref_mask),
+                                         ref, cfg.ies.embeddings == "logits")
+        assert table[:, 2 + k].tobytes() == recon.tobytes()
 
 
 def reference_write_matrix(path, mat):

@@ -151,6 +151,16 @@ class TestSimilarityMatrix:
                     assert sim[k, n] == pytest.approx(
                         server.linear_cka(inds[k], inds[n]))
 
+    @pytest.mark.parametrize("K", [1, 2, 10])
+    def test_equals_pairwise_linear_cka_bitwise(self, K):
+        rng = np.random.default_rng(K)
+        inds = [rng.random(300) * (rng.random(300) > 0.3) for _ in range(K)]
+        want = np.eye(K)
+        for k in range(K):
+            for n in range(k + 1, K):
+                want[k, n] = want[n, k] = server.linear_cka(inds[k], inds[n])
+        assert server.similarity_matrix(inds).tobytes() == want.tobytes()
+
     def test_error_names_pair(self):
         inds = [np.ones(4), np.zeros(4), np.ones(4)]
         with pytest.raises(ValueError, match="clients 0,1"):
