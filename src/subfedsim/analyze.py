@@ -31,13 +31,20 @@ def _load_summary(run_dir: str) -> dict:
             raise AnalysisError(f"{path}: {exc}") from exc
 
 
-def _config_value(run_dir: str, summary: dict, key: str):
-    """`summary["config"][key]`, or an error naming the key and the file."""
-    try:
-        return summary["config"][key]
-    except (KeyError, TypeError):
-        path = os.path.join(run_dir, "summary.json")
-        raise AnalysisError(f"{path} has no config.{key}") from None
+def _config_sizes(run_dir: str, summary: dict) -> tuple:
+    """`config.rounds` and `config.num_clients` of a run's summary, or an error
+    naming the file and the key that is missing or not an integer."""
+    path = os.path.join(run_dir, "summary.json")
+    sizes = []
+    for key in ("rounds", "num_clients"):
+        try:
+            value = summary["config"][key]
+        except (KeyError, TypeError):
+            raise AnalysisError(f"{path} has no config.{key}") from None
+        if type(value) is not int:  # not a bool, a float or a string
+            raise AnalysisError(f"{path}: config.{key} must be an integer, got {value!r}")
+        sizes.append(value)
+    return tuple(sizes)
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -54,7 +61,7 @@ def weight_proportion_csv(run_dir: str) -> str:
     clusters = summary.get("clusters")
     if clusters is None:
         raise AnalysisError(f"run {run_dir} has no cluster ground truth in summary.json")
-    rounds = _config_value(run_dir, summary, "rounds")
+    rounds, _ = _config_sizes(run_dir, summary)
     lines = ["round,proportion"]
     for t in range(1, rounds + 1):
         path = os.path.join(run_dir, f"similarity_round_{t}.csv")
@@ -104,8 +111,7 @@ def bin_match_ratio(ref_recon: np.ndarray, other_recon: np.ndarray,
 def bin_match_csv(run_dir: str, num_bins: int = 5) -> str:
     """Bin-match of each client's earliest vs latest dumped reference reconstruction."""
     summary = _load_summary(run_dir)
-    rounds = _config_value(run_dir, summary, "rounds")
-    K = _config_value(run_dir, summary, "num_clients")
+    rounds, K = _config_sizes(run_dir, summary)
     dump_rounds = dump_rounds_of(summary["config"].get("dump_rounds"), rounds)
     if len(set(dump_rounds)) < 2:
         path = os.path.join(run_dir, "summary.json")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+# argparse's gettext loads locale lazily, at the first parser; load it with the package
+import locale  # noqa: F401
 import os
 import sys
 

@@ -7,7 +7,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__, gcn, graphs, ies, server
 from .config import METHODS, ExperimentConfig, Method, dump_rounds_of, to_dict
@@ -382,7 +381,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         "manifest": {
             "config_path": config_path,
             "tool_version": __version__,
-            "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+            "versions": {"numpy": np.__version__, "scipy": gcn.scipy_version()},
         },
         "config": to_dict(cfg),
         "seed": cfg.seed,

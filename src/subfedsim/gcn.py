@@ -12,22 +12,33 @@ from functools import cached_property
 import numpy as np
 
 
+def _scipy_file(relpath: str) -> str | None:
+    """The path of the file `relpath` in the `scipy` package, or None.
+
+    The package directory comes from the import system's spec of `scipy`,
+    which runs no scipy code.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        path = os.path.join(root, relpath)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
 def _load_csr_matvecs():
     """scipy's compiled CSR x dense kernel, the one `csr_matrix @ ndarray` calls.
 
     The extension `scipy/sparse/_sparsetools` is loaded on its own: importing
-    `scipy.sparse` costs ~22 MB of memory, the extension ~1 MB. Its file is
-    found through the import system's spec of `scipy`, which runs no scipy
-    code; only where no such file exists is it imported the usual way. Where
-    that private module cannot be imported either, the product goes through
-    the public `scipy.sparse.csr_matrix(...) @ x`, which runs the same kernel.
+    `scipy.sparse` costs ~22 MB of memory, the extension ~1 MB. Only where
+    no such file exists is it imported the usual way. Where that private
+    module cannot be imported either, the product goes through the public
+    `scipy.sparse.csr_matrix(...) @ x`, which runs the same kernel.
     """
-    spec = importlib.util.find_spec("scipy")
-    for root in (spec and spec.submodule_search_locations) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
-            if os.path.isfile(path):
-                return _load_extension("scipy.sparse._sparsetools", path).csr_matvecs
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = _scipy_file(os.path.join("sparse", "_sparsetools" + suffix))
+        if path:
+            return _load_file("scipy.sparse._sparsetools", path).csr_matvecs
     try:
         from scipy.sparse._sparsetools import csr_matvecs
     except ImportError:
@@ -39,23 +50,38 @@ def _load_csr_matvecs():
     return csr_matvecs
 
 
-def _load_extension(name: str, path: str):
-    """The extension module `name` from `path`, left out of `sys.modules`.
+def _load_file(name: str, path: str):
+    """The module `name` from the source or extension file `path`, left out of
+    `sys.modules`.
 
-    Loading registers the module under `name`. Without its parent package
-    there, a later `import scipy.sparse` would find it and not set the
-    package's `_sparsetools` attribute, so an entry this call made is removed.
+    Loading an extension registers it under `name`. Without its parent
+    package there, a later `import scipy.sparse` would find it and not set
+    the package's `_sparsetools` attribute, so an entry this call made is
+    removed.
     """
     if name in sys.modules:
         return sys.modules[name]
-    loader = importlib.machinery.ExtensionFileLoader(name, path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-    loader.exec_module(module)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     sys.modules.pop(name, None)
     return module
 
 
 _csr_matvecs = _load_csr_matvecs()
+
+
+def scipy_version() -> str:
+    """The installed scipy's version, read from `scipy/version.py` on its own.
+
+    Importing scipy would add ~1.1 MB to a run's peak memory. Only where
+    that file is missing is scipy imported for its `__version__`.
+    """
+    path = _scipy_file("version.py")
+    if path:
+        return _load_file("scipy.version", path).version
+    import scipy
+    return scipy.__version__
 
 
 class CsrMatrix:
@@ -112,6 +138,7 @@ class GcnParams:
     def _bind(self, flat: np.ndarray, layout: tuple):
         self.flat = flat
         self._layout = layout
+        self._scan = None  # (result,) of nonfinite_tensor, kept while flat cannot change
         for name, lo, hi, shape in layout:
             setattr(self, name, flat[lo:hi].reshape(shape))
 
@@ -125,10 +152,19 @@ class GcnParams:
         return tuple((name, getattr(self, name)) for name in self._NAMES)
 
     def nonfinite_tensor(self) -> str | None:
-        """Name of the first tensor holding a NaN or inf, or None."""
-        if np.isfinite(self.flat).all():
-            return None
-        return next(name for name, t in self.tensors() if not np.all(np.isfinite(t)))
+        """Name of the first tensor holding a NaN or inf, or None.
+
+        A model whose `flat` is read-only and owns its data cannot change, so
+        it is scanned once. Writable parameters are scanned at every call.
+        """
+        if self._scan is not None:
+            return self._scan[0]
+        name = None
+        if not np.isfinite(self.flat).all():
+            name = next(n for n, t in self.tensors() if not np.all(np.isfinite(t)))
+        if not self.flat.flags.writeable and self.flat.flags.owndata:
+            self._scan = (name,)
+        return name
 
     def sq_distance(self, other: "GcnParams") -> float:
         return float(np.sum((self.flat - other.flat) ** 2))
@@ -197,18 +233,23 @@ class Adjacency:
         diag = np.arange(n)
         rows = np.concatenate([edges[:, 0], edges[:, 1], diag])
         cols = np.concatenate([edges[:, 1], edges[:, 0], diag])
-        # slot[i] is where entry i of (rows, cols) lands in the row-major order
-        order = np.lexsort((cols, rows))
-        if np.any((np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)):
+        # slot[i] is where entry i of (rows, cols) lands in the row-major order:
+        # its place among the keys row * n + col (int64 for n < 3e9) sorted.
+        # Equal neighbours there are duplicate edges; without them the keys
+        # are distinct, so the order is that of a sort by row, then column.
+        key = rows * n + cols
+        order = np.argsort(key)
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
             raise ValueError("adjacency edges must not contain duplicates")
         slot = np.empty_like(order)
         slot[order] = np.arange(order.size)
         self.num_edges = E
         self.shape = (n, n)
-        self.indptr = np.searchsorted(rows[order], np.arange(n + 1)).astype(np.int32)
+        self._row = rows[order]
+        self.indptr = np.searchsorted(self._row, np.arange(n + 1)).astype(np.int32)
         self.indices = cols[order].astype(np.int32)
         self.indptr.flags.writeable = self.indices.flags.writeable = False
-        self._row = rows[order]
         self._fwd, self._bwd, self._diag = slot[:E], slot[E:2 * E], slot[2 * E:]
 
     def normalized(self, mask_weights: np.ndarray) -> CsrMatrix:

@@ -233,11 +233,15 @@ GENERATORS = {
 def _csr(edges: np.ndarray, n: int) -> tuple:
     """Symmetric CSR arrays (indptr, indices) of an undirected edge list on n
     nodes; each row lists its neighbours in ascending order."""
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[np.lexsort((dst, src))]
+    np.cumsum(np.bincount(edges.ravel(), minlength=n), out=indptr[1:])
+    # the entries (u, v) and (v, u) of each edge as keys row * n + col: they
+    # are distinct, so sorting them orders the entries by row, then column,
+    # and each sorted key modulo n is its column
+    key = np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]])
+    key.sort()
+    key %= n
+    return indptr, key
 
 
 def _sub_csr(indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray) -> tuple:
@@ -257,11 +261,12 @@ def _sub_csr(indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray) -> tuple
 def _relabeled_edges(g: Graph, nodes: np.ndarray) -> np.ndarray:
     """Edges of `g` with both endpoints in sorted, distinct `nodes`, relabeled to
     positions in `nodes`. The relabeling is monotone, so the rows keep the
-    lexicographic order of `g.edges`."""
-    local = np.full(g.num_nodes, -1, dtype=np.int64)
+    lexicographic order of `g.edges`. Only the kept edges are relabeled."""
+    keep = np.zeros(g.num_nodes, dtype=bool)
+    keep[nodes] = True
+    local = np.empty(g.num_nodes, dtype=np.int64)  # read only where `keep` is set
     local[nodes] = np.arange(nodes.size)
-    e = local[g.edges]
-    return e[(e >= 0).all(axis=1)]
+    return local[g.edges[keep[g.edges[:, 0]] & keep[g.edges[:, 1]]]]
 
 
 _KL_MAX_SWEEPS = 20

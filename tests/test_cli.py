@@ -1,12 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
 
 import numpy
 import pytest
 import scipy
 
 import subfedsim
-from subfedsim import cli, graphs
+from subfedsim import cli, gcn, graphs
 
 
 SMALL_CFG = {
@@ -334,6 +338,27 @@ class TestRun:
         assert manifest["versions"] == {"numpy": numpy.__version__,
                                         "scipy": scipy.__version__}
 
+    def test_a_run_records_the_scipy_version_without_importing_scipy(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = str(tmp_path / "run")
+        code = textwrap.dedent(f"""
+            import json, sys
+            sys.path.insert(0, {src!r})
+            from subfedsim import cli
+            assert cli.main(["run", "--set", "rounds=1", "--set", "num_clients=2",
+                             "--out", {out!r}]) == 0
+            with open({out!r} + "/summary.json") as f:
+                versions = json.load(f)["manifest"]["versions"]
+            print("scipy" in sys.modules, versions["scipy"])
+        """)
+        stdout = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=120, check=True).stdout
+        assert stdout.splitlines()[-1] == f"False {scipy.__version__}"
+
+    def test_scipy_version_falls_back_to_the_package(self, monkeypatch):
+        monkeypatch.setattr(gcn, "_scipy_file", lambda relpath: None)
+        assert gcn.scipy_version() == scipy.__version__
+
     def test_invalid_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -441,6 +466,22 @@ class TestAnalyze:
         assert run_cli("analyze", "bin-match", str(bad)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"summary.json has no config.{key}" in err
+
+    @pytest.mark.parametrize("value", ["2", 2.0, True], ids=["str", "float", "bool"])
+    @pytest.mark.parametrize("key", ["rounds", "num_clients"])
+    @pytest.mark.parametrize("analysis", ["weight-proportion", "bin-match"])
+    def test_analyses_name_non_integer_config_key(self, run_dir, tmp_path, capsys,
+                                                  analysis, key, value):
+        bad = tmp_path / "non-integer"
+        shutil.copytree(run_dir, bad)
+        summary = json.loads((bad / "summary.json").read_text())
+        summary["config"][key] = value
+        (bad / "summary.json").write_text(json.dumps(summary))
+        assert run_cli("analyze", analysis, str(bad)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad / 'summary.json'}: config.{key} must be an "
+                                f"integer, got {value!r}\n")
 
     def test_bin_match_names_both_recon_files_of_unequal_length(self, run_dir, tmp_path,
                                                                  capsys):

@@ -340,6 +340,20 @@ class TestServerStage:
         for st in states:
             assert st.params.sq_distance(shared) < 1e-24
 
+    def test_each_trained_model_is_scanned_once(self, monkeypatch):
+        """K aggregations read the same K read-only trained models."""
+        cfg = tiny_cfg(num_clients=4)
+        states = [make_state(k, cfg) for k in range(4)]
+        for st in states:
+            experiment.local_training_stage(st, 1, cfg, config.METHODS["CUFL"])
+        ref = make_reference(cfg, states)
+        scans = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite",
+                            lambda x, *args, **kw: scans.append(x) or isfinite(x, *args, **kw))
+        experiment.server_aggregation_stage(states, ref, 1, cfg)
+        assert [sum(x is st.trained.flat for x in scans) for st in states] == [1] * 4
+
     def test_zero_reference_mask_names_client_and_round(self):
         """At lambda = 0 a step never raises a weight (r >= 0), so an all-zero
         reference mask stays all zero and its indicator is the zero vector."""

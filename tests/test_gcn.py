@@ -77,6 +77,20 @@ def reference_normalize(edges, mask_weights, num_nodes):
     return (D @ A @ D).tocsr()
 
 
+def reference_pattern(edges, n):
+    """`Adjacency`'s indptr, indices, rows and slot maps by a two-key lexicographic sort."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    E = len(edges)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
+    order = np.lexsort((cols, rows))
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    indptr = np.searchsorted(rows[order], np.arange(n + 1)).astype(np.int32)
+    return (indptr, cols[order].astype(np.int32), rows[order],
+            slot[:E], slot[E:2 * E], slot[2 * E:])
+
+
 def assert_same_csr(a, b):
     assert a.shape == b.shape
     for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)):
@@ -120,6 +134,31 @@ class TestAdjacency:
         w = np.random.default_rng(2).random(len(edges))
         assert_same_csr(gcn.normalize_masked_adjacency(edges, w, n),
                         reference_normalize(edges, w, n))
+
+    @pytest.mark.parametrize("n, p, seed", [(1, 0.0, 0), (6, 0.0, 0), (2, 1.0, 0),
+                                            (60, 0.15, 1), (300, 0.05, 2), (129, 0.6, 3)])
+    def test_pattern_matches_lexsort_reference(self, n, p, seed):
+        """Edges in random order and orientation, so the sort permutes them."""
+        rng = np.random.default_rng(seed)
+        iu = np.triu_indices(n, 1)
+        edges = np.stack(iu, axis=1)[rng.random(iu[0].size) < p]
+        edges = edges[rng.permutation(len(edges))]
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        adj = gcn.Adjacency(edges, n)
+        want = reference_pattern(edges, n)
+        got = (adj.indptr, adj.indices, adj._row, adj._fwd, adj._bwd, adj._diag)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["same", "reversed"])
+    def test_duplicate_edge_names_duplicates(self, graph, reverse):
+        edges, n = graph
+        dup = edges[len(edges) // 3][::-1] if reverse else edges[len(edges) // 3]
+        for at in (0, len(edges) // 2, len(edges)):
+            with pytest.raises(ValueError,
+                               match="^adjacency edges must not contain duplicates$"):
+                gcn.Adjacency(np.insert(edges, at, dup, axis=0), n)
 
     @pytest.mark.parametrize("edges", [[(0, 1), (0, 1)], [(0, 1), (1, 0)], [(1, 1)]])
     def test_duplicate_or_self_loop_rejected(self, edges):

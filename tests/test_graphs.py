@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subfedsim import graphs
+from subfedsim import config, experiment, graphs
 
 
 def edge_set(g):
@@ -636,6 +636,50 @@ class TestMatchesReference:
         for nodes in cases:
             assert_same_graph_bytes(graphs.induced_subgraph(g, nodes),
                                     reference_induced_subgraph(g, nodes))
+        # 64 clients of unequal sizes, a random disjoint partition of 2,000 nodes
+        g = graphs.generate_er(2000, 0.002, 3, 2, seed=4)
+        cuts = np.sort(np.random.default_rng(1).choice(np.arange(1, 2000), 63, replace=False))
+        parts = np.split(np.random.default_rng(0).permutation(2000), cuts)
+        for nodes in parts:  # unsorted ids
+            assert_same_graph_bytes(graphs.induced_subgraph(g, nodes.tolist()),
+                                    reference_induced_subgraph(g, nodes.tolist()))
+
+
+def reference_csr(edges, n):
+    """`_csr` by a two-key lexicographic sort of the (src, dst) entries."""
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.lexsort((dst, src))]
+
+
+def scale16_graph():
+    """The 4000-node dataset graph of the `cufl-scale16` benchmark at seed 0."""
+    cfg = config.ExperimentConfig()
+    cfg.dataset.blocks, cfg.dataset.block_size = 4, 1000
+    cfg.dataset.p_in, cfg.dataset.p_cross = 0.02, 0.0005
+    return experiment._build_dataset(cfg)
+
+
+class TestCsr:
+    @pytest.mark.parametrize("make", [
+        lambda: graphs.generate_er(1, 0.5, 2, 2, seed=0),
+        lambda: graphs.generate_er(10, 0.0, 2, 2, seed=0),
+        lambda: graphs.generate_er(2, 1.0, 2, 2, seed=0),
+        lambda: graphs.generate_er(300, 0.05, 2, 2, seed=1),
+        lambda: graphs.generate_er(257, 0.5, 2, 2, seed=2),
+        lambda: graphs.generate_ba(500, 3, 2, 2, seed=3),
+        with_isolated_nodes,
+        scale16_graph,
+    ], ids=["1-node", "edgeless", "one-edge", "er", "dense-er", "ba", "isolated",
+            "cufl-scale16"])
+    def test_single_key_sort_matches_lexsort(self, make):
+        g = make()
+        for got, want in zip(graphs._csr(g.edges, g.num_nodes),
+                             reference_csr(g.edges, g.num_nodes)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def sweep_inputs(g, first):

@@ -214,6 +214,25 @@ class TestAggregate:
         with pytest.raises(ValueError, match="W2 from client 1"):
             server.aggregate(np.array([1.0, 0.5]), 5.0, ps)
 
+    def test_writable_model_turning_nonfinite_after_a_clean_scan_raises(self):
+        ps = self.params_list([0, 1])
+        assert ps[1].flat.flags.writeable
+        server.aggregate(np.array([1.0, 0.5]), 5.0, ps)  # both scans are clean
+        ps[1].W2[0, 0] = np.nan
+        with pytest.raises(ValueError, match="^non-finite parameter W2 from client 1$"):
+            server.aggregate(np.array([1.0, 0.5]), 5.0, ps)
+
+    def test_read_only_view_of_writable_data_is_scanned_again(self):
+        """A read-only `flat` that does not own its data can still change."""
+        p = self.params_list([0])[0]
+        base = p.flat.copy()
+        view = base[:]
+        view.flags.writeable = False
+        q = p.like(view)
+        assert q.nonfinite_tensor() is None
+        base[-1] = np.inf
+        assert q.nonfinite_tensor() == "b2"
+
 
 class TestBuildIndicator:
     def test_prune_count_and_shape(self):
