@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from .config import dump_rounds_of
+from .config import check_dump_rounds, dump_rounds_of
 from .experiment import reference_recon_header, same_cluster_weight_proportion
 from .graphs import _convert, _read_csv
 
@@ -26,9 +26,12 @@ def _load_summary(run_dir: str) -> dict:
     path = _require(os.path.join(run_dir, "summary.json"))
     with open(path) as f:
         try:
-            return json.load(f)
+            summary = json.load(f)
         except json.JSONDecodeError as exc:
             raise AnalysisError(f"{path}: {exc}") from exc
+    if not isinstance(summary, dict):
+        raise AnalysisError(f"{path} must hold a JSON object, got {type(summary).__name__}")
+    return summary
 
 
 def _config_sizes(run_dir: str, summary: dict) -> tuple:
@@ -45,6 +48,17 @@ def _config_sizes(run_dir: str, summary: dict) -> tuple:
             raise AnalysisError(f"{path}: config.{key} must be an integer, got {value!r}")
         sizes.append(value)
     return tuple(sizes)
+
+
+def _dump_rounds(run_dir: str, summary: dict, rounds: int) -> tuple:
+    """The dump rounds of a run's summary, as `config.validate` admits them."""
+    value = summary["config"].get("dump_rounds")
+    try:
+        check_dump_rounds(value, rounds)
+    except ValueError as exc:
+        raise AnalysisError(f"{os.path.join(run_dir, 'summary.json')}: "
+                            f"config.dump_rounds {exc}") from None
+    return dump_rounds_of(value, rounds)
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -112,7 +126,7 @@ def bin_match_csv(run_dir: str, num_bins: int = 5) -> str:
     """Bin-match of each client's earliest vs latest dumped reference reconstruction."""
     summary = _load_summary(run_dir)
     rounds, K = _config_sizes(run_dir, summary)
-    dump_rounds = dump_rounds_of(summary["config"].get("dump_rounds"), rounds)
+    dump_rounds = _dump_rounds(run_dir, summary, rounds)
     if len(set(dump_rounds)) < 2:
         path = os.path.join(run_dir, "summary.json")
         raise AnalysisError(f"{path}: config.dump_rounds gives the dump rounds "

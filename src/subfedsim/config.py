@@ -175,15 +175,19 @@ class ExperimentConfig:
         if self.fed.tau_min > self.fed.tau_max:
             raise ConfigError(f"config key 'fed.tau_min' must be <= fed.tau_max="
                               f"{self.fed.tau_max}, got {self.fed.tau_min}")
+        if self.fed.tau == "adaptive" and not (self.fed.tau_min <= self.fed.tau_init
+                                               <= self.fed.tau_max):
+            raise ConfigError(f"config key 'fed.tau_init' must lie in [fed.tau_min, "
+                              f"fed.tau_max] = [{self.fed.tau_min}, {self.fed.tau_max}] "
+                              f"when fed.tau is 'adaptive', got {self.fed.tau_init}")
         r = self.split_ratios
         if len(r) != 3 or min(r) < 0 or r[0] <= 0:
             raise ConfigError("config key 'split_ratios' must be three numbers >= 0 with "
                               f"a positive first (train) entry, got {list(r)}")
-        if self.dump_rounds is not None:
-            bad = [t for t in self.dump_rounds if not 1 <= t <= self.rounds]
-            if bad:
-                raise ConfigError(f"config key 'dump_rounds' entries must lie in "
-                                  f"1..rounds={self.rounds}, got {bad}")
+        try:
+            check_dump_rounds(self.dump_rounds, self.rounds)
+        except ValueError as exc:
+            raise ConfigError(f"config key 'dump_rounds' {exc}") from None
         if isinstance(self.fed.tau, str) and self.fed.tau != "adaptive":
             raise ConfigError("config key 'fed.tau' must be a number or 'adaptive'")
         if not 0.0 <= self.fed.prune_frac < 1.0:
@@ -207,6 +211,18 @@ class ExperimentConfig:
             raise ConfigError("dataset.path is required for dataset.kind='dir'")
         if self.partition.kind == "file" and self.dataset.kind != "dir":
             raise ConfigError("partition.kind='file' requires dataset.kind='dir'")
+
+
+def check_dump_rounds(dump_rounds, rounds: int) -> None:
+    """Raise ValueError unless `dump_rounds` is None or a list or tuple of integers
+    (not bools) in 1..rounds."""
+    if dump_rounds is None:
+        return
+    if not isinstance(dump_rounds, (list, tuple)):
+        raise ValueError(f"must be null or a list of integers, got {dump_rounds!r}")
+    bad = [t for t in dump_rounds if type(t) is not int or not 1 <= t <= rounds]
+    if bad:
+        raise ValueError(f"entries must be integers in 1..rounds={rounds}, got {bad}")
 
 
 def dump_rounds_of(dump_rounds, rounds: int) -> tuple:

@@ -195,19 +195,16 @@ def server_aggregation_stage(states: list, ref: graphs.Graph, t: int,
             raise ValueError(f"zero indicator for client {k} at round {t}")
         indicators.append(u)
     sim = server.similarity_matrix(indicators)
-    all_trained = [st.trained for st in states]
     adaptive = cfg.fed.tau == "adaptive"
-    taus = []
-    alpha = np.zeros_like(sim)
-    for k, st in enumerate(states):
-        tau = st.tau_state.tau if adaptive else float(cfg.fed.tau)
-        taus.append(tau)
-        alpha[k] = server.softmax_weights(sim[k], tau)
-        st.params = server.aggregate(sim[k], tau, all_trained)
+    taus = [st.tau_state.tau if adaptive else float(cfg.fed.tau) for st in states]
+    alpha = np.array([server.softmax_weights(row, tau) for row, tau in zip(sim, taus)])
+    mixed = server.aggregate(alpha, [st.trained for st in states])
+    for st, params in zip(states, mixed):
+        st.params = params
         if adaptive and t % cfg.fed.tau_update_interval == 0:
             val = _evaluate(st, st.params)[graphs.VAL]
             if np.isfinite(val):
-                st.tau_state = server.tau_step(st.tau_state, val)
+                st.tau_state = server.tau_step(st.tau_state, val, cfg.fed)
     return sim, alpha, taus
 
 
@@ -313,14 +310,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     for k, nodes in enumerate(part.client_node_lists):
         sub = graphs.induced_subgraph(g, nodes)
         split = graphs.make_splits(sub, cfg.split_ratios, mix_seed(cfg.seed, k, 0x5B17))
-        tau0 = server.TauState(tau=cfg.fed.tau_init, patience=cfg.fed.tau_patience,
-                               rho=cfg.fed.tau_rho, tau_min=cfg.fed.tau_min,
-                               tau_max=cfg.fed.tau_max)
         states.append(ClientState(
             client_id=k, graph=sub, split=split,
             params=init_p, trained=init_p,
             mask=np.full(sub.num_edges, float(cfg.ies.init_value)),
-            adam=gcn.init_adam(init_p), tau_state=tau0))
+            adam=gcn.init_adam(init_p), tau_state=server.TauState(tau=cfg.fed.tau_init)))
 
     method = METHODS[cfg.method]
     use_similarity = method.aggregation == "similarity"

@@ -138,7 +138,6 @@ class GcnParams:
     def _bind(self, flat: np.ndarray, layout: tuple):
         self.flat = flat
         self._layout = layout
-        self._scan = None  # (result,) of nonfinite_tensor, kept while flat cannot change
         for name, lo, hi, shape in layout:
             setattr(self, name, flat[lo:hi].reshape(shape))
 
@@ -152,19 +151,10 @@ class GcnParams:
         return tuple((name, getattr(self, name)) for name in self._NAMES)
 
     def nonfinite_tensor(self) -> str | None:
-        """Name of the first tensor holding a NaN or inf, or None.
-
-        A model whose `flat` is read-only and owns its data cannot change, so
-        it is scanned once. Writable parameters are scanned at every call.
-        """
-        if self._scan is not None:
-            return self._scan[0]
-        name = None
-        if not np.isfinite(self.flat).all():
-            name = next(n for n, t in self.tensors() if not np.all(np.isfinite(t)))
-        if not self.flat.flags.writeable and self.flat.flags.owndata:
-            self._scan = (name,)
-        return name
+        """Name of the first tensor holding a NaN or inf, or None."""
+        if np.isfinite(self.flat).all():
+            return None
+        return next(n for n, t in self.tensors() if not np.all(np.isfinite(t)))
 
     def sq_distance(self, other: "GcnParams") -> float:
         return float(np.sum((self.flat - other.flat) ** 2))

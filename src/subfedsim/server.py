@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gcn, ies
+from .config import FedSpec
 from .graphs import Graph
 
 
@@ -40,19 +41,15 @@ def build_indicator(ref: Graph, client_params: gcn.GcnParams, mask: np.ndarray,
                     prune_frac: float = 0.3, use_logits: bool = False) -> tuple:
     """Step a client's reference mask (over ref.edges) with its model, then ext-vectorize.
 
-    Returns (stepped mask, indicator) and writes nothing; with n_steps == 0 the
-    stepped mask is `mask` itself. A step sets w to clip(w + k*(lam - r), 0, 1)
-    (`ies.mask_step`), k ~ n_steps*lr_aggr: 1e-4 at the defaults, against 0.005
-    for the clients' own masks. lam is the same for every edge, so while no
-    weight clips the mask is init - k*sum_t(r_t - lam_t) and the indicator
-    keeps the edges of lowest cumulative residual, whatever lam is.
+    Returns (stepped mask, indicator) and writes nothing. A step sets w to
+    clip(w + k*(lam - r), 0, 1) (`ies.mask_step`), k ~ n_steps*lr_aggr: 1e-4 at
+    the defaults, against 0.005 for the clients' own masks. lam is the same for
+    every edge, so while no weight clips the mask is init - k*sum_t(r_t - lam_t)
+    and the indicator keeps the edges of lowest cumulative residual, whatever lam is.
     """
-    if ref.features.shape[1] != client_params.W1.shape[0]:
-        raise ValueError("client parameters do not match the reference graph features")
-    if n_steps > 0:
-        recon = ies.model_reconstruction(client_params, ref.adjacency.normalized(mask),
-                                         ref, use_logits)
-        mask = ies.mask_step(mask, recon, lam, gamma, lr_aggr, n_steps)
+    recon = ies.model_reconstruction(client_params, ref.adjacency.normalized(mask),
+                                     ref, use_logits)
+    mask = ies.mask_step(mask, recon, lam, gamma, lr_aggr, n_steps)
     return mask, ext_vectorize(mask, prune_frac)
 
 
@@ -94,41 +91,42 @@ def similarity_matrix(indicators: list) -> np.ndarray:
 
 
 def softmax_weights(sim_row: np.ndarray, tau: float) -> np.ndarray:
+    """softmax(tau * sim_row): one client's aggregation weights."""
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
     z = tau * np.asarray(sim_row, dtype=np.float64)
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
 
 
-def aggregate(sim_row: np.ndarray, tau: float, all_params: list) -> gcn.GcnParams:
-    """Personalized parameter mixture weighted by softmax(tau * similarity)."""
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
+def aggregate(alpha: np.ndarray, all_params: list) -> list:
+    """Every client's personalized model: row k of alpha mixes all_params for client k.
+
+    Each model is checked for NaN and inf once, however many rows mix it.
+    """
     for cid, p in enumerate(all_params):
         name = p.nonfinite_tensor()
         if name is not None:
             raise ValueError(f"non-finite parameter {name} from client {cid}")
     # a loop in client order, not alpha @ P: the matmul rounds differently
-    return gcn.weighted_sum(softmax_weights(sim_row, tau), all_params)
+    return [gcn.weighted_sum(row, all_params) for row in alpha]
 
 
 @dataclass
 class TauState:
-    """Greedy per-client temperature scheduler state."""
+    """Greedy per-client temperature scheduler state; its constants are a FedSpec's."""
 
     tau: float = 5.0
     s: int = 1
     r_good: int = 0
     r_bad: int = 0
-    patience: int = 5
-    rho: float = 1.25
-    tau_min: float = 3.0
-    tau_max: float = 10.0
     last_perf: float = -math.inf
 
 
-def tau_step(state: TauState, perf: float) -> TauState:
-    """One scheduler update from the current round's performance signal."""
+def tau_step(state: TauState, perf: float, fed: FedSpec) -> TauState:
+    """One scheduler update from the current round's performance signal, with
+    fed's tau_patience, tau_rho, tau_min and tau_max."""
     if not math.isfinite(perf):
         raise ValueError("performance signal must be finite")
     st = TauState(**vars(state))
@@ -138,15 +136,15 @@ def tau_step(state: TauState, perf: float) -> TauState:
     else:
         st.r_bad += 1
         st.r_good = 0
-    if st.r_good > st.patience:
-        tau = st.rho ** st.s * st.tau
+    if st.r_good > fed.tau_patience:
+        tau = fed.tau_rho ** st.s * st.tau
         st.r_good = 0
-    elif st.r_bad > st.patience:
+    elif st.r_bad > fed.tau_patience:
         st.s = -st.s
-        tau = st.rho ** st.s * st.tau
+        tau = fed.tau_rho ** st.s * st.tau
         st.r_bad = 0
     else:
         tau = st.tau
-    st.tau = min(max(tau, st.tau_min), st.tau_max)
+    st.tau = min(max(tau, fed.tau_min), fed.tau_max)
     st.last_perf = perf
     return st

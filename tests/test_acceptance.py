@@ -140,7 +140,8 @@ def test_criterion_03_aggregation(capsys):
         tau = float(rng.uniform(0, 10))
         ok &= abs(server.softmax_weights(row, tau).sum() - 1.0) <= 1e-12
     params = [gcn.init_params(3, 4, 2, seed=s) for s in range(3)]
-    mean = server.aggregate(np.array([0.9, 0.2, 0.6]), 0.0, params)
+    mean = server.aggregate([server.softmax_weights(np.array([0.9, 0.2, 0.6]), 0.0)],
+                            params)[0]
     for i, (_, t) in enumerate(mean.tensors()):
         target = sum(dict(p.tensors())[list(dict(p.tensors()))[i]] for p in params) / 3
         ok &= np.max(np.abs(t - target)) <= 1e-12
@@ -162,22 +163,22 @@ def test_criterion_04_pacing(capsys):
 def test_criterion_05_adaptive_tau(capsys):
     st = server.TauState()
     for perf in np.linspace(0.1, 0.7, 6):
-        st = server.tau_step(st, float(perf))
+        st = server.tau_step(st, float(perf), config.FedSpec())
     ok = st.tau == pytest.approx(5.0 * 1.25)
 
     st = server.TauState(last_perf=1.0)
     for perf in np.linspace(0.9, 0.4, 6):
-        st = server.tau_step(st, float(perf))
+        st = server.tau_step(st, float(perf), config.FedSpec())
     ok = ok and st.tau == pytest.approx(5.0 / 1.25) and st.s == -1
 
     st = server.TauState(tau=9.9)
     seen = [st.tau]
     for perf in range(30):
-        st = server.tau_step(st, float(perf))
+        st = server.tau_step(st, float(perf), config.FedSpec())
         seen.append(st.tau)
     st = server.TauState(tau=3.1, last_perf=100.0)
     for perf in range(30, 0, -1):
-        st = server.tau_step(st, float(perf))
+        st = server.tau_step(st, float(perf), config.FedSpec())
         seen.append(st.tau)
     ok = ok and all(3.0 <= t <= 10.0 for t in seen)
     report(capsys, 5, bool(ok))

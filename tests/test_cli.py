@@ -210,6 +210,10 @@ class TestRun:
         ("fed.tau_max=-1", "fed.tau_max"),
         ("fed.tau_rho=0", "fed.tau_rho"),
         ("fed.tau_patience=-1", "fed.tau_patience"),
+        pytest.param(("fed.tau=adaptive", "fed.tau_init=50"), "fed.tau_init",
+                     id="adaptive-tau_init=50-fed.tau_init"),
+        pytest.param(("fed.tau=adaptive", "fed.tau_init=2"), "fed.tau_init",
+                     id="adaptive-tau_init=2-fed.tau_init"),
         ("ies.lr_train=2000", "ies.lr_train"),
         ("ies.lr_aggr=2000", "ies.lr_aggr"),
         pytest.param("split_ratios=[1" + "0" * 400 + ",1,1]", "split_ratios",
@@ -223,11 +227,22 @@ class TestRun:
     ])
     def test_wrong_typed_override_errors(self, tmp_path, capsys, override, key):
         cfg = write_cfg(tmp_path)
-        assert run_cli("run", "--config", cfg, "--set", override,
-                       "--out", str(tmp_path / "x")) == 1
+        overrides = override if isinstance(override, tuple) else (override,)
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert run_cli("run", "--config", cfg, *sets, "--out", str(tmp_path / "x")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
         assert not (tmp_path / "x").exists()
+
+    def test_tau_init_range_holds_only_for_adaptive_tau(self):
+        from subfedsim import config
+        base = config.ExperimentConfig()
+        for tau_init in (3, 10):  # the range's ends are admitted
+            cfg = config.apply_overrides(base, ["fed.tau=adaptive", f"fed.tau_init={tau_init}"])
+            assert cfg.fed.tau_init == tau_init
+        assert config.apply_overrides(base, ["fed.tau_init=50"]).fed.tau_init == 50
+        with pytest.raises(config.ConfigError, match="'fed.tau_init'"):
+            config.apply_overrides(base, ["fed.tau=adaptive", "fed.tau_min=6", "fed.tau_max=8"])
 
     def test_ies_steps_bound_follows_the_method(self):
         from subfedsim import config
@@ -455,6 +470,39 @@ class TestAnalyze:
         assert run_cli("analyze", "bin-match", str(bad)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "summary.json: Expecting property name" in err
+
+    @pytest.mark.parametrize("analysis", ["weight-proportion", "bin-match"])
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"run"', "3"])
+    def test_analyses_name_a_summary_that_is_not_an_object(self, run_dir, tmp_path, capsys,
+                                                           analysis, text):
+        bad = tmp_path / "not-an-object"
+        shutil.copytree(run_dir, bad)
+        (bad / "summary.json").write_text(text + "\n")
+        assert run_cli("analyze", analysis, str(bad)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad / 'summary.json'} must hold a JSON object")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("value, message", [
+        ("15", "must be null or a list of integers, got '15'"),
+        (5, "must be null or a list of integers, got 5"),
+        ([1.0, 2], "entries must be integers in 1..rounds=2, got [1.0]"),
+        ([True, 2], "entries must be integers in 1..rounds=2, got [True]"),
+        ([0, 2], "entries must be integers in 1..rounds=2, got [0]"),
+        ([1, 3], "entries must be integers in 1..rounds=2, got [3]"),
+    ], ids=["str", "int", "float-entry", "bool-entry", "round-0", "past-rounds"])
+    def test_bin_match_names_bad_dump_rounds(self, run_dir, tmp_path, capsys, value,
+                                             message):
+        bad = tmp_path / "bad-dump-rounds"
+        shutil.copytree(run_dir, bad)
+        summary = json.loads((bad / "summary.json").read_text())
+        summary["config"]["dump_rounds"] = value
+        (bad / "summary.json").write_text(json.dumps(summary))
+        assert run_cli("analyze", "bin-match", str(bad)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad / 'summary.json'}: config.dump_rounds {message}\n"
 
     @pytest.mark.parametrize("key", ["rounds", "num_clients"])
     def test_bin_match_names_missing_config_key(self, run_dir, tmp_path, capsys, key):

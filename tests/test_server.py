@@ -13,6 +13,9 @@ def uniform_mask(ref, value=0.5):
     return np.full(ref.num_edges, value)
 
 
+FED = config.FedSpec()  # the scheduler's defaults: patience 5, rho 1.25, tau in [3, 10]
+
+
 def lam(t):
     """The pacing threshold of round t in a 50-round run at zeta = 1.5."""
     return ies.g_lambda(1.5, 50, t)
@@ -171,6 +174,10 @@ class TestAggregate:
     def params_list(self, seeds, d=3, h=4, c=2):
         return [gcn.init_params(d, h, c, seed=s) for s in seeds]
 
+    def mix(self, sim_row, tau, ps):
+        """The model aggregate gives the client whose similarity row is sim_row."""
+        return server.aggregate([server.softmax_weights(sim_row, tau)], ps)[0]
+
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         for tau in (0.0, 3.0, 10.0):
@@ -180,7 +187,7 @@ class TestAggregate:
 
     def test_tau_zero_uniform_mean(self):
         ps = self.params_list([0, 1, 2])
-        out = server.aggregate(np.array([1.0, 0.3, 0.7]), 0.0, ps)
+        out = self.mix(np.array([1.0, 0.3, 0.7]), 0.0, ps)
         mean_w1 = sum(p.W1 for p in ps) / 3
         assert np.allclose(out.W1, mean_w1, atol=1e-12)
 
@@ -189,13 +196,13 @@ class TestAggregate:
         alpha = server.softmax_weights(np.array([1.0, 0.5]), 5.0)
         assert alpha[0] == pytest.approx(0.92414, abs=1e-4)
         ps = self.params_list([3, 4])
-        out = server.aggregate(np.array([1.0, 0.5]), 5.0, ps)
+        out = self.mix(np.array([1.0, 0.5]), 5.0, ps)
         expect = alpha[0] * ps[0].b2 + alpha[1] * ps[1].b2
         assert np.allclose(out.b2, expect, atol=1e-14)
 
     def test_large_tau_picks_self(self):
         ps = self.params_list([5, 6, 7])
-        out = server.aggregate(np.array([1.0, 0.5, 0.2]), 1e4, ps)
+        out = self.mix(np.array([1.0, 0.5, 0.2]), 1e4, ps)
         assert np.allclose(out.W1, ps[0].W1, atol=1e-10)
 
     def test_overflow_safe(self):
@@ -203,7 +210,7 @@ class TestAggregate:
         assert np.isfinite(w).all() and w.sum() == pytest.approx(1.0)
 
     def test_aggregated_model_is_read_only(self):
-        out = server.aggregate(np.array([1.0, 0.5]), 5.0, self.params_list([0, 1]))
+        out = self.mix(np.array([1.0, 0.5]), 5.0, self.params_list([0, 1]))
         for t in (out.flat, out.W1, out.b1, out.W2, out.b2):
             with pytest.raises(ValueError):
                 t[(0,) * t.ndim] = 1.0
@@ -212,26 +219,31 @@ class TestAggregate:
         ps = self.params_list([0, 1])
         ps[1].W2[0, 0] = np.nan
         with pytest.raises(ValueError, match="W2 from client 1"):
-            server.aggregate(np.array([1.0, 0.5]), 5.0, ps)
+            self.mix(np.array([1.0, 0.5]), 5.0, ps)
 
     def test_writable_model_turning_nonfinite_after_a_clean_scan_raises(self):
         ps = self.params_list([0, 1])
         assert ps[1].flat.flags.writeable
-        server.aggregate(np.array([1.0, 0.5]), 5.0, ps)  # both scans are clean
+        self.mix(np.array([1.0, 0.5]), 5.0, ps)  # both scans are clean
         ps[1].W2[0, 0] = np.nan
         with pytest.raises(ValueError, match="^non-finite parameter W2 from client 1$"):
-            server.aggregate(np.array([1.0, 0.5]), 5.0, ps)
+            self.mix(np.array([1.0, 0.5]), 5.0, ps)
 
-    def test_read_only_view_of_writable_data_is_scanned_again(self):
-        """A read-only `flat` that does not own its data can still change."""
-        p = self.params_list([0])[0]
-        base = p.flat.copy()
-        view = base[:]
-        view.flags.writeable = False
-        q = p.like(view)
-        assert q.nonfinite_tensor() is None
-        base[-1] = np.inf
-        assert q.nonfinite_tensor() == "b2"
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_each_row_is_its_weighted_sum_bytewise(self, K):
+        rng = np.random.default_rng(K)
+        alpha = rng.random((K, K))
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        ps = self.params_list(range(K))
+        out = server.aggregate(alpha, ps)
+        assert len(out) == K
+        for k in range(K):
+            assert out[k].flat.tobytes() == gcn.weighted_sum(alpha[k], ps).flat.tobytes()
+
+    @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_tau_rejected_by_softmax(self, tau):
+        with pytest.raises(ValueError, match="^tau must be finite$"):
+            server.softmax_weights(np.array([1.0, 0.5]), tau)
 
 
 class TestBuildIndicator:
@@ -266,15 +278,6 @@ class TestBuildIndicator:
                                               1e-5, 10)[1])
         assert np.array_equal(out[0], out[1])
 
-    def test_zero_steps_keeps_mask(self):
-        ref = small_ref()
-        d = ref.features.shape[1]
-        params = gcn.init_params(d, 8, 2, seed=0)
-        mask = uniform_mask(ref)
-        stepped, _ = server.build_indicator(ref, params, mask, lam(1), 0.001, 1e-5, 0)
-        assert stepped is mask
-        assert np.all(mask == 0.5)
-
     @pytest.mark.parametrize("seed", [0, 1])
     def test_support_does_not_depend_on_lambda(self, seed):
         """While no weight clips, a step from a uniform mask lowers each weight by
@@ -307,52 +310,65 @@ class TestTauSchedule:
     def test_improvement_streak_raises_tau(self):
         st_ = server.TauState()
         for perf in np.linspace(0.1, 0.7, 6):
-            st_ = server.tau_step(st_, float(perf))
+            st_ = server.tau_step(st_, float(perf), FED)
         assert st_.tau == pytest.approx(6.25)
         assert st_.r_good == 0  # streak counter reset after the bump
 
     def test_decline_streak_flips_and_lowers(self):
         st_ = server.TauState(last_perf=1.0)
         for perf in np.linspace(0.9, 0.4, 6):
-            st_ = server.tau_step(st_, float(perf))
+            st_ = server.tau_step(st_, float(perf), FED)
         assert st_.s == -1
         assert st_.tau == pytest.approx(4.0)
 
     def test_patience_is_strict(self):
         st_ = server.TauState()
         for perf in np.linspace(0.1, 0.5, 5):
-            st_ = server.tau_step(st_, float(perf))
+            st_ = server.tau_step(st_, float(perf), FED)
         assert st_.tau == 5.0  # 5 improvements == patience: no change yet
         assert st_.r_good == 5
 
     def test_equal_perf_counts_as_improvement(self):
         st_ = server.TauState()
         for _ in range(6):
-            st_ = server.tau_step(st_, 0.5)
+            st_ = server.tau_step(st_, 0.5, FED)
         assert st_.tau == pytest.approx(6.25)
 
     def test_clamped_to_range(self):
         st_ = server.TauState(tau=9.9)
         for perf in range(1, 8):
-            st_ = server.tau_step(st_, float(perf))
+            st_ = server.tau_step(st_, float(perf), FED)
         assert st_.tau == 10.0
         st_ = server.TauState(tau=3.1, last_perf=100.0)
         for perf in range(20, 0, -1):
-            st_ = server.tau_step(st_, float(perf))
+            st_ = server.tau_step(st_, float(perf), FED)
         assert st_.tau >= 3.0
         assert st_.tau == pytest.approx(3.0)
 
     def test_mixed_signal_holds_tau(self):
         st_ = server.TauState()
         for i in range(40):
-            st_ = server.tau_step(st_, 0.5 if i % 2 else 0.4)
+            st_ = server.tau_step(st_, 0.5 if i % 2 else 0.4, FED)
         assert st_.tau == 5.0
 
     def test_input_state_not_mutated(self):
         st_ = server.TauState()
-        server.tau_step(st_, 0.9)
+        server.tau_step(st_, 0.9, FED)
         assert st_.tau == 5.0 and st_.r_good == 0
+
+    def test_reads_the_fedspec_it_is_given(self):
+        fed = config.FedSpec(tau_patience=1, tau_rho=2.0, tau_min=1.0, tau_max=4.0)
+        st_, taus = server.TauState(tau=2.0), []
+        for perf in (1, 2, 3, 4, 3, 2):
+            st_ = server.tau_step(st_, float(perf), fed)
+            taus.append(st_.tau)
+        # two rises double tau, two more would pass tau_max; two falls flip s and halve it
+        assert taus == [2.0, 4.0, 4.0, 4.0, 4.0, 2.0] and st_.s == -1
+        st_ = server.TauState(tau=1.5, last_perf=100.0)
+        for perf in (99.0, 98.0):
+            st_ = server.tau_step(st_, perf, fed)
+        assert st_.tau == 1.0  # 0.75 clamped to tau_min
 
     def test_nonfinite_perf_rejected(self):
         with pytest.raises(ValueError):
-            server.tau_step(server.TauState(), float("nan"))
+            server.tau_step(server.TauState(), float("nan"), FED)
