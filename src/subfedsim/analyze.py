@@ -75,6 +75,9 @@ def weight_proportion_csv(run_dir: str) -> str:
     clusters = summary.get("clusters")
     if clusters is None:
         raise AnalysisError(f"run {run_dir} has no cluster ground truth in summary.json")
+    if not (isinstance(clusters, list) and all(type(c) is int for c in clusters)):
+        raise AnalysisError(f"{os.path.join(run_dir, 'summary.json')}: clusters must be "
+                            f"a list of integers, got {clusters!r}")
     rounds, _ = _config_sizes(run_dir, summary)
     lines = ["round,proportion"]
     for t in range(1, rounds + 1):

@@ -63,12 +63,13 @@ class RunResult:
 def same_cluster_weight_proportion(matrix: np.ndarray, clusters: list) -> float:
     """Average per-client fraction of similarity (or weight) mass inside its cluster."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    K = len(clusters)
+    c = np.asarray(clusters)
+    K = len(c)
     if matrix.shape != (K, K):
         raise ValueError(f"a {'x'.join(map(str, matrix.shape))} matrix for {K} clustered clients")
     total = 0.0
     for k in range(K):
-        members = np.array([clusters[n] == clusters[k] for n in range(K)])
+        members = c == c[k]
         denom = matrix[k].sum()
         if not (np.isfinite(denom) and denom != 0):
             raise ValueError(f"row {k + 1} sums to {float(denom)!r}")
@@ -181,23 +182,27 @@ def server_aggregation_stage(states: list, ref: graphs.Graph, t: int,
                              cfg: ExperimentConfig):
     """Indicators, similarity, per-client tau and personalized aggregation.
 
-    Returns (similarity, alpha, taus). Writes each state's stepped `ref_mask`,
-    and its aggregated `params` for round t+1.
+    Returns (similarity, alpha, taus, recons): recons[k] is client k's
+    reconstruction of the reference edges that stepped its `ref_mask`. Writes
+    each state's stepped `ref_mask`, and its aggregated `params` for round t+1.
     """
     use_logits = cfg.ies.embeddings == "logits"
     lam = ies.g_lambda(cfg.ies.zeta, cfg.rounds, t)
-    indicators = []
+    indicators, recons = [], []
     for k, st in enumerate(states):
-        st.ref_mask, u = server.build_indicator(ref, st.trained, st.ref_mask, lam,
-                                                cfg.ies.gamma, cfg.ies.lr_aggr, cfg.ies.steps,
-                                                cfg.fed.prune_frac, use_logits)
+        st.ref_mask, u, recon = server.build_indicator(
+            ref, st.trained, st.ref_mask, lam, cfg.ies.gamma, cfg.ies.lr_aggr,
+            cfg.ies.steps, cfg.fed.prune_frac, use_logits)
         if not np.any(u):
             raise ValueError(f"zero indicator for client {k} at round {t}")
         indicators.append(u)
+        recons.append(recon)
     sim = server.similarity_matrix(indicators)
     adaptive = cfg.fed.tau == "adaptive"
     taus = [st.tau_state.tau if adaptive else float(cfg.fed.tau) for st in states]
     alpha = np.array([server.softmax_weights(row, tau) for row, tau in zip(sim, taus)])
+    for st in states:  # release the models that entered the round before building K new ones
+        st.params = None
     mixed = server.aggregate(alpha, [st.trained for st in states])
     for st, params in zip(states, mixed):
         st.params = params
@@ -205,7 +210,7 @@ def server_aggregation_stage(states: list, ref: graphs.Graph, t: int,
             val = _evaluate(st, st.params)[graphs.VAL]
             if np.isfinite(val):
                 st.tau_state = server.tau_step(st.tau_state, val, cfg.fed)
-    return sim, alpha, taus
+    return sim, alpha, taus, recons
 
 
 def _size_weighted_mean(states: list) -> gcn.GcnParams:
@@ -272,17 +277,13 @@ def reference_recon_header(num_clients: int) -> str:
     return "u,v," + ",".join(f"client_{k}" for k in range(num_clients))
 
 
-def _dump_reference_recon(out_dir: str, ref: graphs.Graph, states: list,
-                          t: int, cfg: ExperimentConfig):
-    """One file for the round: the reference edges once, then client k's
-    reconstruction of them in column `client_k`."""
-    use_logits = cfg.ies.embeddings == "logits"
-    recon = np.empty((ref.num_edges, len(states)))
-    for k, st in enumerate(states):
-        adj = ref.adjacency.normalized(st.ref_mask)
-        recon[:, k] = ies.model_reconstruction(st.trained, adj, ref, use_logits)
+def _dump_reference_recon(out_dir: str, ref: graphs.Graph, recons: list, t: int):
+    """One file for the round: the reference edges once, then in column
+    `client_k` the reconstruction `recons[k]` that round t's server step made
+    of them with client k's model and the reference mask entering that step."""
     _write_edge_weights(os.path.join(out_dir, f"refrecon_round_{t}.csv"),
-                        _edge_rows(ref.edges), reference_recon_header(len(states)), recon)
+                        _edge_rows(ref.edges), reference_recon_header(len(recons)),
+                        np.column_stack(recons))
 
 
 def _dump_masks(out_dir: str, states: list, t: int):
@@ -330,11 +331,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     dump_rounds = set(dump_rounds_of(cfg.dump_rounds, cfg.rounds)) if out_dir else set()
     records = []
     for t in range(1, cfg.rounds + 1):
-        losses = [local_training_stage(st, t, cfg, method) for st in states]
-        sim = alpha = None
+        sim = alpha = recons = None  # the last round's reconstructions die here
         taus = [None] * len(states)
+        losses = [local_training_stage(st, t, cfg, method) for st in states]
         if use_similarity:
-            sim, alpha, taus = server_aggregation_stage(states, ref, t, cfg)
+            sim, alpha, taus, recons = server_aggregation_stage(states, ref, t, cfg)
         elif method.aggregation == "mean":
             global_p = _size_weighted_mean(states)
             for st in states:
@@ -359,7 +360,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                 if method.mask:
                     _dump_masks(out_dir, states, t)
                 if use_similarity:
-                    _dump_reference_recon(out_dir, ref, states, t, cfg)
+                    _dump_reference_recon(out_dir, ref, recons, t)
 
     final = (records[-1].client_metrics if records
              else [_client_metrics(st, st.params, None, None) for st in states])

@@ -41,7 +41,9 @@ def build_indicator(ref: Graph, client_params: gcn.GcnParams, mask: np.ndarray,
                     prune_frac: float = 0.3, use_logits: bool = False) -> tuple:
     """Step a client's reference mask (over ref.edges) with its model, then ext-vectorize.
 
-    Returns (stepped mask, indicator) and writes nothing. A step sets w to
+    Returns (stepped mask, indicator, reconstruction) and writes nothing. The
+    reconstruction is the model's cosine per reference edge under the mask that
+    entered the call, the one the step used. A step sets w to
     clip(w + k*(lam - r), 0, 1) (`ies.mask_step`), k ~ n_steps*lr_aggr: 1e-4 at
     the defaults, against 0.005 for the clients' own masks. lam is the same for
     every edge, so while no weight clips the mask is init - k*sum_t(r_t - lam_t)
@@ -50,7 +52,7 @@ def build_indicator(ref: Graph, client_params: gcn.GcnParams, mask: np.ndarray,
     recon = ies.model_reconstruction(client_params, ref.adjacency.normalized(mask),
                                      ref, use_logits)
     mask = ies.mask_step(mask, recon, lam, gamma, lr_aggr, n_steps)
-    return mask, ext_vectorize(mask, prune_frac)
+    return mask, ext_vectorize(mask, prune_frac), recon
 
 
 def _cka(u: np.ndarray, v: np.ndarray, uu: float, vv: float) -> float:

@@ -1,6 +1,6 @@
 """Golden digests: the sha256 of every file of 36 short runs, as written.
 
-    python3 tests/golden.py        # rewrites tests/golden.json
+    python3 tests/golden.py        # rewrites tests/golden.json, lists what moved
 
 The runs are the default config at 5 rounds for every method, the
 `bisection`, `louvain` and `overlap` partitions, and seeds 0 and 1, plus six
@@ -96,7 +96,26 @@ def run_digests(method: str, partition: str, seed: int, overrides: tuple,
             for name in sorted(os.listdir(out_dir))}
 
 
+def moved_digests(old_runs: dict, new_runs: dict) -> tuple:
+    """([(run, file, old digest, new digest)] of each entry that differs, with None
+    on the side that lacks it; the number of entries equal on both sides)."""
+    moved, same = [], 0
+    for run in sorted(set(old_runs) | set(new_runs)):
+        old, new = old_runs.get(run, {}), new_runs.get(run, {})
+        for name in sorted(set(old) | set(new)):
+            if old.get(name) == new.get(name):
+                same += 1
+            else:
+                moved.append((run, name, old.get(name), new.get(name)))
+    return moved, same
+
+
 def main() -> int:
+    try:
+        with open(GOLDEN_PATH) as f:
+            old_runs = json.load(f)["runs"]
+    except FileNotFoundError:
+        old_runs = {}
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for run in RUNS:
@@ -106,7 +125,11 @@ def main() -> int:
         json.dump({"fingerprint": fingerprint(), "rounds": ROUNDS, "runs": runs}, f,
                   indent=1, sort_keys=True)
         f.write("\n")
-    print(f"wrote {len(runs)} runs to {GOLDEN_PATH}")
+    moved, same = moved_digests(old_runs, runs)
+    for run, name, old, new in moved:
+        print(f"{run} {name}: {(old or 'none')[:12]} -> {(new or 'none')[:12]}")
+    print(f"wrote {len(runs)} runs to {GOLDEN_PATH}: {len(moved)} entries moved, "
+          f"{same} unchanged")
     return 0
 
 

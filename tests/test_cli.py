@@ -531,6 +531,20 @@ class TestAnalyze:
         assert captured.err == (f"error: {bad / 'summary.json'}: config.{key} must be an "
                                 f"integer, got {value!r}\n")
 
+    @pytest.mark.parametrize("value", [[[0, 1], [0, 1]], [0, "1"], [0.0, 1], [True, 0], "01"],
+                             ids=["nested", "str-entry", "float-entry", "bool-entry", "str"])
+    def test_weight_proportion_names_bad_clusters(self, run_dir, tmp_path, capsys, value):
+        bad = tmp_path / "bad-clusters"
+        shutil.copytree(run_dir, bad)
+        summary = json.loads((bad / "summary.json").read_text())
+        summary["clusters"] = value
+        (bad / "summary.json").write_text(json.dumps(summary))
+        assert run_cli("analyze", "weight-proportion", str(bad)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad / 'summary.json'}: clusters must be a list of "
+                                f"integers, got {value!r}\n")
+
     def test_bin_match_names_both_recon_files_of_unequal_length(self, run_dir, tmp_path,
                                                                  capsys):
         bad = tmp_path / "short-recon"

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -91,6 +92,25 @@ class TestClusterProportion:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             experiment.same_cluster_weight_proportion(np.eye(3), [0, 1])
+
+    @pytest.mark.parametrize("K", [1, 2, 5, 16])
+    def test_matches_membership_loop_bytes(self, K):
+        rng = np.random.default_rng(K)
+        for _ in range(5):
+            m = rng.random((K, K)) + 0.01
+            clusters = rng.integers(0, 3, size=K).tolist()  # ids repeat
+            assert (experiment.same_cluster_weight_proportion(m, clusters)
+                    == reference_same_cluster_weight_proportion(m, clusters))
+
+
+def reference_same_cluster_weight_proportion(matrix, clusters):
+    """The per-row membership loop: one Python comparison per pair of clients."""
+    K = len(clusters)
+    total = 0.0
+    for k in range(K):
+        members = np.array([clusters[n] == clusters[k] for n in range(K)])
+        total += matrix[k][members].sum() / matrix[k].sum()
+    return total / K
 
 
 class TestBinMatch:
@@ -323,7 +343,7 @@ class TestServerStage:
         st = make_state(0, cfg)
         ref = make_reference(cfg, [st])
         before = st.ref_mask
-        sim, alpha, taus = experiment.server_aggregation_stage([st], ref, 1, cfg)
+        sim, alpha, taus, _ = experiment.server_aggregation_stage([st], ref, 1, cfg)
         assert not np.array_equal(st.ref_mask, before)  # the stepped mask is kept
         assert np.array_equal(sim, [[1.0]])
         assert np.array_equal(alpha, [[1.0]])
@@ -334,7 +354,7 @@ class TestServerStage:
         shared = gcn.init_params(cfg.dataset.dx, cfg.model.hidden, 2, seed=5)
         states = [make_state(k, cfg, params=shared) for k in range(3)]
         ref = make_reference(cfg, states)
-        sim, alpha, _ = experiment.server_aggregation_stage(states, ref, 1, cfg)
+        sim, alpha, _, _ = experiment.server_aggregation_stage(states, ref, 1, cfg)
         assert np.allclose(sim, 1.0)
         assert np.allclose(alpha, 1.0 / 3.0)
         for st in states:
@@ -353,6 +373,27 @@ class TestServerStage:
                             lambda x, *args, **kw: scans.append(x) or isfinite(x, *args, **kw))
         experiment.server_aggregation_stage(states, ref, 1, cfg)
         assert [sum(x is st.trained.flat for x in scans) for st in states] == [1] * 4
+
+    def test_old_models_die_before_aggregation(self, monkeypatch):
+        """The K models entering the round are released before the K new ones are built."""
+        cfg = tiny_cfg(num_clients=3)
+        states = [make_state(k, cfg) for k in range(3)]
+        for st in states:
+            experiment.local_training_stage(st, 1, cfg, config.METHODS["CUFL"])
+        ref = make_reference(cfg, states)
+        old = [weakref.ref(st.params) for st in states]
+        assert all(r() is not None and r() is not st.trained for r, st in zip(old, states))
+        alive = []
+        aggregate = server.aggregate
+
+        def spy(alpha, all_params):
+            alive.append([r() is not None for r in old])
+            return aggregate(alpha, all_params)
+
+        monkeypatch.setattr(server, "aggregate", spy)
+        experiment.server_aggregation_stage(states, ref, 1, cfg)
+        assert alive == [[False] * 3]
+        assert all(st.params is not None for st in states)
 
     def test_zero_reference_mask_names_client_and_round(self):
         """At lambda = 0 a step never raises a weight (r >= 0), so an all-zero
@@ -665,10 +706,31 @@ def test_edge_rows_serve_several_files(tmp_path, num_edges):
                 == (tmp_path / f"{name}_ref.csv").read_bytes())
 
 
+def spy_reference(monkeypatch) -> list:
+    """Patch `experiment._build_reference` to append each graph it builds to the list."""
+    refs = []
+    build_reference = experiment._build_reference
+
+    def recorded(cfg, d_x):
+        refs.append(build_reference(cfg, d_x))
+        return refs[-1]
+
+    monkeypatch.setattr(experiment, "_build_reference", recorded)
+    return refs
+
+
 def test_reference_rows_are_built_once_per_dump(tmp_path, monkeypatch):
-    cfg = tiny_cfg(num_clients=3)
-    states = [make_state(k, cfg) for k in range(3)]
-    ref = make_reference(cfg, states)
+    """Column k of round t's file is what round t's `build_indicator` returned for
+    client k, from the hidden embeddings and from the logits."""
+    refs = spy_reference(monkeypatch)
+    returned = []  # one reconstruction per build_indicator call, in call order
+    build_indicator = server.build_indicator
+
+    def spy(*args, **kw):
+        out = build_indicator(*args, **kw)
+        returned.append(out[2])
+        return out
+
     calls = []
     edge_rows = experiment._edge_rows
 
@@ -676,19 +738,68 @@ def test_reference_rows_are_built_once_per_dump(tmp_path, monkeypatch):
         calls.append(edges)
         return edge_rows(edges)
 
+    monkeypatch.setattr(server, "build_indicator", spy)
     monkeypatch.setattr(experiment, "_edge_rows", counted)
-    experiment._dump_reference_recon(str(tmp_path), ref, states, 1, cfg)
-    assert len(calls) == 1
-    assert sorted(os.listdir(tmp_path)) == ["refrecon_round_1.csv"]
-    text = (tmp_path / "refrecon_round_1.csv").read_text()
-    assert text.count("\n") == ref.num_edges + 1
-    assert text.startswith("u,v,client_0,client_1,client_2\n")
-    table = np.loadtxt(tmp_path / "refrecon_round_1.csv", delimiter=",", skiprows=1, ndmin=2)
-    assert np.array_equal(table[:, :2], ref.edges)
-    for k, st in enumerate(states):  # column k is client k's reconstruction, bit for bit
-        recon = ies.model_reconstruction(st.trained, ref.adjacency.normalized(st.ref_mask),
-                                         ref, cfg.ies.embeddings == "logits")
-        assert table[:, 2 + k].tobytes() == recon.tobytes()
+    for embeddings in ("hidden", "logits"):
+        for seen in (refs, returned, calls):
+            seen.clear()
+        cfg = tiny_cfg(num_clients=3, rounds=3, dump_rounds=[1, 3])
+        cfg.ies.embeddings = embeddings
+        out = tmp_path / embeddings
+        experiment.run_experiment(cfg, out_dir=str(out))
+        (ref,) = refs
+        K = cfg.num_clients
+        assert len(returned) == cfg.rounds * K
+        assert sum(edges is ref.edges for edges in calls) == 2  # once per dump round
+        assert sorted(p.name for p in out.glob("refrecon_*")) == \
+            ["refrecon_round_1.csv", "refrecon_round_3.csv"]
+        for t in (1, 3):
+            text = (out / f"refrecon_round_{t}.csv").read_text()
+            assert text.count("\n") == ref.num_edges + 1
+            assert text.startswith("u,v,client_0,client_1,client_2\n")
+            table = np.loadtxt(out / f"refrecon_round_{t}.csv", delimiter=",", skiprows=1,
+                               ndmin=2)
+            assert np.array_equal(table[:, :2], ref.edges)
+            for k in range(K):  # bit for bit
+                assert table[:, 2 + k].tobytes() == returned[(t - 1) * K + k].tobytes(), \
+                    (embeddings, t, k)
+
+
+def test_dump_round_reconstructs_the_reference_once_per_client(tmp_path, monkeypatch):
+    """Every round below dumps; each reconstructs the reference edges K times, all of
+    them under the normalization `build_indicator` makes."""
+    cfg = tiny_cfg(num_clients=3, rounds=2)
+    refs = spy_reference(monkeypatch)
+    inside = []  # a build_indicator call is running
+    recon_calls, norm_calls = [], []  # per call on the reference: inside build_indicator?
+    build_indicator, reconstruct = server.build_indicator, ies.reconstruct
+    normalized = gcn.Adjacency.normalized
+
+    def spy_build(*args, **kw):
+        inside.append(True)
+        try:
+            return build_indicator(*args, **kw)
+        finally:
+            inside.pop()
+
+    def spy_reconstruct(embeddings, edges):
+        if refs and edges is refs[0].edges:
+            recon_calls.append(bool(inside))
+        return reconstruct(embeddings, edges)
+
+    def spy_normalized(adj, mask_weights):
+        if refs and adj is refs[0].adjacency:
+            norm_calls.append(bool(inside))
+        return normalized(adj, mask_weights)
+
+    monkeypatch.setattr(server, "build_indicator", spy_build)
+    monkeypatch.setattr(ies, "reconstruct", spy_reconstruct)
+    monkeypatch.setattr(gcn.Adjacency, "normalized", spy_normalized)
+    experiment.run_experiment(cfg, out_dir=str(tmp_path))
+    assert sorted(p.name for p in tmp_path.glob("refrecon_*")) == \
+        ["refrecon_round_1.csv", "refrecon_round_2.csv"]
+    assert recon_calls == [True] * cfg.rounds * cfg.num_clients
+    assert norm_calls == [True] * cfg.rounds * cfg.num_clients
 
 
 def reference_write_matrix(path, mat):

@@ -19,6 +19,14 @@ def test_golden_covers_every_run():
     assert sorted(GOLDEN["runs"]) == sorted(golden.run_name(*r) for r in golden.RUNS)
 
 
+def test_moved_digests_lists_each_changed_entry():
+    old = {"a": {"x.csv": "1", "y.csv": "2"}, "b": {"z.csv": "3"}}
+    new = {"a": {"x.csv": "1", "y.csv": "4", "w.csv": "5"}, "c": {"z.csv": "3"}}
+    assert golden.moved_digests(old, new) == ([
+        ("a", "w.csv", None, "5"), ("a", "y.csv", "2", "4"),
+        ("b", "z.csv", "3", None), ("c", "z.csv", None, "3")], 1)
+
+
 @pytest.mark.parametrize("run", golden.RUNS, ids=[golden.run_name(*r) for r in golden.RUNS])
 def test_run_matches_golden(tmp_path, run):
     name = golden.run_name(*run)

@@ -251,7 +251,8 @@ class TestBuildIndicator:
         ref = small_ref()
         d = ref.features.shape[1]
         params = gcn.init_params(d, 8, 2, seed=0)
-        _, vec = server.build_indicator(ref, params, uniform_mask(ref), lam(1), 0.001, 1e-5, 10)
+        _, vec, _ = server.build_indicator(ref, params, uniform_mask(ref), lam(1), 0.001, 1e-5,
+                                           10)
         E = ref.num_edges
         assert vec.shape == (E,)
         assert int((vec == 0.0).sum()) >= int(np.floor(0.3 * E))
@@ -263,7 +264,7 @@ class TestBuildIndicator:
         mask = uniform_mask(ref)
         mask.flags.writeable = False  # the step returns a new mask and writes nothing
         before = mask.copy()
-        after, _ = server.build_indicator(ref, params, mask, lam(1), 0.001, 0.01, 10)
+        after, _, _ = server.build_indicator(ref, params, mask, lam(1), 0.001, 0.01, 10)
         assert not np.array_equal(before, after)
         # the input mask untouched
         assert np.all(mask == 0.5)
@@ -293,11 +294,23 @@ class TestBuildIndicator:
         kept = g.num_edges - int(np.floor(cfg.fed.prune_frac * g.num_edges))
         lowest = np.sort(np.argsort(r)[:kept])
         for lam_ in (0.0, 0.5, 1.0):
-            mask, vec = server.build_indicator(g, params, init, lam_, cfg.ies.gamma,
-                                               cfg.ies.lr_aggr, cfg.ies.steps,
-                                               cfg.fed.prune_frac)
+            mask, vec, _ = server.build_indicator(g, params, init, lam_, cfg.ies.gamma,
+                                                  cfg.ies.lr_aggr, cfg.ies.steps,
+                                                  cfg.fed.prune_frac)
             assert 0.0 < mask.min() and mask.max() < 1.0  # no weight clipped
             assert np.array_equal(np.flatnonzero(vec), lowest)
+
+    @pytest.mark.parametrize("use_logits", [False, True])
+    def test_returns_the_reconstruction_it_stepped_with(self, use_logits):
+        ref = small_ref(seed=4)
+        params = gcn.init_params(ref.features.shape[1], 8, 2, seed=5)
+        mask = np.random.default_rng(6).random(ref.num_edges)
+        stepped, _, recon = server.build_indicator(ref, params, mask, lam(3), 0.001, 1e-5, 10,
+                                                   use_logits=use_logits)
+        want = ies.model_reconstruction(params, ref.adjacency.normalized(mask), ref, use_logits)
+        assert recon.tobytes() == want.tobytes()  # under the mask that entered the call
+        assert stepped.tobytes() == ies.mask_step(mask, want, lam(3), 0.001, 1e-5,
+                                                  10).tobytes()
 
     def test_feature_mismatch_rejected(self):
         ref = small_ref()
