@@ -70,23 +70,35 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def weight_proportion_csv(run_dir: str) -> str:
-    """Per-round same-cluster similarity mass: `round,proportion`."""
+    """Per-round same-cluster similarity mass: `round,proportion`.
+
+    `similarity_round_all.csv` is read once; rows (t-1)*K+1 to t*K hold round t.
+    """
     summary = _load_summary(run_dir)
+    summary_path = os.path.join(run_dir, "summary.json")
     clusters = summary.get("clusters")
     if clusters is None:
         raise AnalysisError(f"run {run_dir} has no cluster ground truth in summary.json")
     if not (isinstance(clusters, list) and all(type(c) is int for c in clusters)):
-        raise AnalysisError(f"{os.path.join(run_dir, 'summary.json')}: clusters must be "
+        raise AnalysisError(f"{summary_path}: clusters must be "
                             f"a list of integers, got {clusters!r}")
-    rounds, _ = _config_sizes(run_dir, summary)
+    rounds, K = _config_sizes(run_dir, summary)
+    if len(clusters) != K:
+        raise AnalysisError(f"{summary_path}: clusters has {len(clusters)} entries "
+                            f"but config.num_clients is {K}")
     lines = ["round,proportion"]
+    if rounds == 0:  # a run of no rounds writes no matrix
+        return lines[0] + "\n"
+    path = os.path.join(run_dir, "similarity_round_all.csv")
+    sim = _load_matrix(path)
+    if len(sim) != rounds * K:
+        raise AnalysisError(f"{path}: {len(sim)} rows, but config.rounds * "
+                            f"config.num_clients is {rounds * K}")
     for t in range(1, rounds + 1):
-        path = os.path.join(run_dir, f"similarity_round_{t}.csv")
-        sim = _load_matrix(path)
         try:
-            prop = same_cluster_weight_proportion(sim, clusters)
+            prop = same_cluster_weight_proportion(sim[(t - 1) * K:t * K], clusters)
         except ValueError as exc:
-            raise AnalysisError(f"{path}: {exc}") from exc
+            raise AnalysisError(f"{path}: round {t}: {exc}") from exc
         lines.append(f"{t},{float(prop)!r}")
     return "\n".join(lines) + "\n"
 

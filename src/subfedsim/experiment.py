@@ -243,10 +243,15 @@ def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams) -> g
     return pretrained
 
 
-def _write_matrix(path: str, mat: np.ndarray):
+def _write_matrix(path: str, mats: list):
+    """The matrices `mats` stacked in order: a line per row, fields `_fmt`-formatted.
+
+    One `write` per matrix, so the text of one matrix is held, not the file's.
+    """
     # repr of a Python float is `_fmt`'s shortest round-trip decimal
     with open(path, "w", newline="\n") as f:
-        f.write("".join(",".join(map(repr, row)) + "\n" for row in mat.tolist()))
+        for mat in mats:
+            f.write("".join(",".join(map(repr, row)) + "\n" for row in mat.tolist()))
 
 
 def _edge_rows(edges: np.ndarray) -> list:
@@ -352,15 +357,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         records.append(RoundRecord(round=t, client_metrics=metrics, similarity=sim,
                                    alpha=alpha, same_cluster_proportion=prop))
 
-        if out_dir is not None:
-            if sim is not None:
-                _write_matrix(os.path.join(out_dir, f"similarity_round_{t}.csv"), sim)
-                _write_matrix(os.path.join(out_dir, f"alpha_round_{t}.csv"), alpha)
-            if t in dump_rounds:
-                if method.mask:
-                    _dump_masks(out_dir, states, t)
-                if use_similarity:
-                    _dump_reference_recon(out_dir, ref, recons, t)
+        if t in dump_rounds:
+            if method.mask:
+                _dump_masks(out_dir, states, t)
+            if use_similarity:
+                _dump_reference_recon(out_dir, ref, recons, t)
 
     final = (records[-1].client_metrics if records
              else [_client_metrics(st, st.params, None, None) for st in states])
@@ -399,5 +400,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         with open(os.path.join(out_dir, "summary.json"), "w") as f:
             json.dump(summary, f, indent=2)
             f.write("\n")
+        if use_similarity and records:  # round t's K rows follow round t-1's
+            _write_matrix(os.path.join(out_dir, "similarity_round_all.csv"),
+                          [rec.similarity for rec in records])
+            _write_matrix(os.path.join(out_dir, "alpha_round_all.csv"),
+                          [rec.alpha for rec in records])
 
     return RunResult(records=records, summary=summary, clusters=clusters)

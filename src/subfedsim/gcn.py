@@ -285,14 +285,14 @@ def normalize_masked_adjacency(edges: np.ndarray, mask_weights: np.ndarray,
     return Adjacency(edges, num_nodes).normalized(mask_weights)
 
 
-def forward(params: GcnParams, norm_adj: CsrMatrix, features: np.ndarray,
-            AX: np.ndarray | None = None) -> Embeddings:
-    """H1 = ReLU((A X) W1 + b1); logits H2 = A (H1 W2) + b2.
+def hidden(params: GcnParams, norm_adj: CsrMatrix, features: np.ndarray,
+           AX: np.ndarray | None = None) -> tuple:
+    """The first layer alone: (H1, AX), H1 = ReLU((A X) W1 + b1).
 
     `AX`, when given, is `norm_adj @ features` computed by the caller and is
-    used as it is. Each sparse product runs on the narrower side (d_x, then
-    num_classes columns). This is the only forward pass: `loss_and_grads`
-    back-propagates through it, so the trained model is the evaluated model.
+    used as it is. `forward` computes H1 with this function, so a caller that
+    reads only the hidden embeddings gets `forward`'s H1 bit for bit without
+    the logits layer.
     """
     if features.shape[1] != params.W1.shape[0]:
         raise ValueError("feature dimension does not match W1")
@@ -301,6 +301,19 @@ def forward(params: GcnParams, norm_adj: CsrMatrix, features: np.ndarray,
     H1 = AX @ params.W1
     H1 += params.b1
     np.maximum(H1, 0.0, out=H1)
+    return H1, AX
+
+
+def forward(params: GcnParams, norm_adj: CsrMatrix, features: np.ndarray,
+            AX: np.ndarray | None = None) -> Embeddings:
+    """H1 = ReLU((A X) W1 + b1) from `hidden`; logits H2 = A (H1 W2) + b2.
+
+    `AX` is passed to `hidden` as it is. Each sparse product runs on the
+    narrower side (d_x, then num_classes columns). This is the only forward
+    pass: `loss_and_grads` back-propagates through it, so the trained model is
+    the evaluated model.
+    """
+    H1, AX = hidden(params, norm_adj, features, AX)
     H2 = norm_adj @ (H1 @ params.W2)
     H2 += params.b2
     return Embeddings(H1=H1, H2=H2, AX=AX)

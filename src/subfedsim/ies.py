@@ -21,7 +21,12 @@ _RECON_BLOCK = 256  # edges per gather; two (256, hidden) blocks stay in cache
 
 
 def reconstruct(embeddings: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Per-edge cosine similarity of endpoint embeddings; zero vectors give 0."""
+    """Per-edge cosine similarity of endpoint embeddings; zero vectors give 0.
+
+    The endpoint rows are gathered in blocks of `_RECON_BLOCK` edges with
+    `take`, which gives the bytes of `H[idx]` and, like it, raises IndexError
+    for an endpoint out of range.
+    """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size == 0:
         return np.zeros(0)
@@ -31,8 +36,9 @@ def reconstruct(embeddings: np.ndarray, edges: np.ndarray) -> np.ndarray:
     B = _RECON_BLOCK
     dots = np.empty(edges.shape[0])
     for lo in range(0, edges.shape[0], B):
-        np.einsum("ij,ij->i", H[edges[lo:lo + B, 0]], H[edges[lo:lo + B, 1]],
-                  out=dots[lo:lo + B])
+        # no `out=`: under mode='raise' take would then buffer the copy
+        np.einsum("ij,ij->i", H.take(edges[lo:lo + B, 0], axis=0),
+                  H.take(edges[lo:lo + B, 1], axis=0), out=dots[lo:lo + B])
     out = np.zeros(edges.shape[0])
     np.divide(dots, denom, out=out, where=denom > 0)
     return out.clip(-1.0, 1.0, out=out)
@@ -88,10 +94,14 @@ def model_reconstruction(params: gcn.GcnParams, norm_adj, g: Graph, use_logits: 
                          AX: np.ndarray | None = None) -> np.ndarray:
     """Reconstruct g's edges from the model's hidden embeddings (or its logits).
 
-    `AX`, when given, is `norm_adj @ g.features`, passed on to `gcn.forward`.
+    `AX`, when given, is `norm_adj @ g.features`. Hidden embeddings come from
+    `gcn.hidden`, which skips the logits layer; logits from `gcn.forward`.
     """
-    emb = gcn.forward(params, norm_adj, g.features, AX)
-    return reconstruct(emb.H2 if use_logits else emb.H1, g.edges)
+    if use_logits:
+        emb = gcn.forward(params, norm_adj, g.features, AX).H2
+    else:
+        emb, _ = gcn.hidden(params, norm_adj, g.features, AX)
+    return reconstruct(emb, g.edges)
 
 
 def warmup_mask(g: Graph, mask: np.ndarray, pretrained: gcn.GcnParams, lam: float,

@@ -41,7 +41,8 @@ def test_traced_run_reaches_every_hook(tmp_path, method):
     assert m["starts"] == 2
     assert m["gcn.forward.calls"] > 0
     if method == "CUFL":
-        assert m["experiment.artifacts.files"] > 0
+        # 2 dump rounds x (2 masks + 1 refrecon), and the 2 stacked matrix files
+        assert m["experiment.artifacts.files"] == 8
         assert m["ies.reconstruct.calls"] > 0
         assert m["server.similarity_matrix.pairs"] == 2  # one client pair in each of 2 rounds
         # the pinned functions are still called, not only still defined

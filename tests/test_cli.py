@@ -401,7 +401,7 @@ def fedavg_run_dir(tmp_path_factory):
 
 class TestAnalyze:
     @pytest.mark.parametrize("analysis, missing", [
-        ("weight-proportion", "similarity_round_1.csv"),
+        ("weight-proportion", "similarity_round_all.csv"),
         ("bin-match", "refrecon_round_1.csv"),
     ])
     def test_fedavg_run_names_the_missing_file_one_way(self, fedavg_run_dir, capsys,
@@ -560,30 +560,37 @@ class TestAnalyze:
     def test_weight_proportion_names_ragged_matrix(self, run_dir, tmp_path, capsys):
         bad = tmp_path / "ragged"
         shutil.copytree(run_dir, bad)
-        (bad / "similarity_round_2.csv").write_text("1.0,0.5\n0.5\n")
+        (bad / "similarity_round_all.csv").write_text("1.0,0.5\n0.5,1.0\n1.0,0.5\n0.5\n")
         assert run_cli("analyze", "weight-proportion", str(bad)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "similarity_round_2.csv: " in err
+        assert err.startswith("error:") and "similarity_round_all.csv: " in err
 
-    @pytest.mark.parametrize("matrix, clusters, message", [
-        ("1,0,0\n0,1,0\n0,0,1\n1,1,1\n", [0, 0, 1, 1],
-         "a 4x3 matrix for 4 clustered clients"),
-        ("1,0.5\n0.5,1\n", [0, 0, 1, 1], "a 2x2 matrix for 4 clustered clients"),
-        ("0,0\n0,0\n", None, "row 1 sums to 0.0"),
-    ], ids=["4x3", "2x2-for-4", "all-zero"])
+    # the run has 2 rounds of 2 clients: the stacked file holds two 2-row blocks
+    @pytest.mark.parametrize("matrix, clusters, name, message", [
+        ("1,0,0\n0,1,0\n0,0,1\n1,1,1\n", None, "similarity_round_all.csv",
+         "round 1: a 2x3 matrix for 2 clustered clients"),
+        ("1,0.5\n0.5,1\n" * 2, [0, 0, 1, 1], "summary.json",
+         "clusters has 4 entries but config.num_clients is 2"),
+        ("1,0\n0,1\n0,0\n0,0\n", None, "similarity_round_all.csv",
+         "round 2: row 1 sums to 0.0"),
+        ("1,0.5\n0.5,1\n" * 3, None, "similarity_round_all.csv",
+         "6 rows, but config.rounds * config.num_clients is 4"),
+        ("1,0.5\n0.5,1\n", None, "similarity_round_all.csv",
+         "2 rows, but config.rounds * config.num_clients is 4"),
+    ], ids=["4x3", "2x2-for-4", "all-zero", "extra-round", "missing-round"])
     def test_weight_proportion_names_malformed_matrix(self, run_dir, tmp_path, capsys,
-                                                      matrix, clusters, message):
+                                                      matrix, clusters, name, message):
         bad = tmp_path / "malformed"
         shutil.copytree(run_dir, bad)
         if clusters is not None:
             summary = json.loads((bad / "summary.json").read_text())
             summary["clusters"] = clusters
             (bad / "summary.json").write_text(json.dumps(summary))
-        (bad / "similarity_round_1.csv").write_text(matrix)
+        (bad / "similarity_round_all.csv").write_text(matrix)
         assert run_cli("analyze", "weight-proportion", str(bad)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert f"{bad / 'similarity_round_1.csv'}: {message}" in err
+        assert f"{bad / name}: {message}" in err
 
     def test_weight_proportion_to_file(self, run_dir, tmp_path):
         dest = tmp_path / "prop.csv"

@@ -438,8 +438,8 @@ class TestRunExperiment:
         _, a = self.run(tmp_path, "a")
         _, b = self.run(tmp_path, "b")
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
-        assert (a / "similarity_round_3.csv").read_bytes() == \
-            (b / "similarity_round_3.csv").read_bytes()
+        assert (a / "similarity_round_all.csv").read_bytes() == \
+            (b / "similarity_round_all.csv").read_bytes()
 
     def test_zero_rounds(self, tmp_path):
         res, out = self.run(tmp_path, "r0", rounds=0)
@@ -457,6 +457,7 @@ class TestRunExperiment:
         res, out = self.run(tmp_path, "local", method="Local")
         assert all(rec.similarity is None for rec in res.records)
         assert not list(out.glob("similarity_round_*.csv"))
+        assert not list(out.glob("alpha_round_*.csv"))
 
     def test_local_clients_stay_independent(self, tmp_path):
         res, _ = self.run(tmp_path, "indep", method="Local",
@@ -502,10 +503,12 @@ class TestRunExperiment:
         tau = {(int(f[0]), int(f[1])): float(f[-1])
                for f in (line.split(",") for line in lines[1:])}
         assert len(tau) == cfg.rounds * cfg.num_clients and len(set(tau.values())) > 1
+        K = cfg.num_clients
+        sims = (out / "similarity_round_all.csv").read_text().splitlines()
+        alphas = (out / "alpha_round_all.csv").read_text().splitlines()
+        assert len(sims) == len(alphas) == cfg.rounds * K
         for t in range(1, cfg.rounds + 1):
-            sim = (out / f"similarity_round_{t}.csv").read_text().splitlines()
-            alpha = (out / f"alpha_round_{t}.csv").read_text().splitlines()
-            assert len(sim) == len(alpha) == cfg.num_clients
+            sim, alpha = sims[(t - 1) * K:t * K], alphas[(t - 1) * K:t * K]
             for k, row in enumerate(sim):
                 weights = server.softmax_weights(np.array(row.split(","), dtype=float),
                                                  tau[t, k])
@@ -814,9 +817,95 @@ def test_matrix_writer_matches_fmt_reference(tmp_path, shape):
     mat = rng.random(shape)
     special = [0.0, 1.0, 1e-300, 5e-324, -0.0, 1 / 3, 1e16]
     mat.ravel()[:len(special)] = special[:mat.size]
-    experiment._write_matrix(str(tmp_path / "new.csv"), mat)
+    experiment._write_matrix(str(tmp_path / "new.csv"), [mat])
     reference_write_matrix(str(tmp_path / "ref.csv"), mat)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def expected_files(K: int, dump_rounds, mask: bool, similarity: bool) -> list:
+    """The files a run of at least one round writes."""
+    names = ["metrics.csv", "summary.json"]
+    if similarity:
+        names += ["similarity_round_all.csv", "alpha_round_all.csv"]
+    for t in set(dump_rounds):
+        if mask:
+            names += [f"mask_round_{t}_client_{k}.csv" for k in range(K)]
+        if similarity:
+            names.append(f"refrecon_round_{t}.csv")
+    return sorted(names)
+
+
+@pytest.mark.parametrize("rounds, dump_rounds", [(1, None), (3, None), (3, (2,)),
+                                                 (4, (1, 3, 3)), (3, ())])
+def test_cufl_run_writes_exactly_its_file_set(tmp_path, rounds, dump_rounds):
+    cfg = tiny_cfg(rounds=rounds, dump_rounds=dump_rounds)
+    experiment.run_experiment(cfg, out_dir=str(tmp_path))
+    D = config.dump_rounds_of(dump_rounds, rounds)
+    want = expected_files(cfg.num_clients, D, mask=True, similarity=True)
+    assert sorted(os.listdir(tmp_path)) == want
+    assert len(want) == 4 + len(set(D)) * (cfg.num_clients + 1)
+
+
+def test_ten_clients_and_two_dump_rounds_write_26_files(tmp_path):
+    # the cufl-disjoint10 benchmark config (10 clients, 50 rounds, dumps at 1 and 50)
+    # cut to 2 rounds: the file set depends on K and the dump rounds only
+    cfg = config.ExperimentConfig(num_clients=10, rounds=2)
+    cfg.fed.tau = 5.0
+    experiment.run_experiment(cfg, out_dir=str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == expected_files(10, (1, 2), True, True)
+    assert len(os.listdir(tmp_path)) == 26 == len(expected_files(10, (1, 50), True, True))
+
+
+@pytest.mark.parametrize("method, rounds", [("FedAvg", 3), ("CUFL", 0), ("FedAvg", 0)])
+def test_fedavg_and_zero_round_runs_write_only_metrics_and_summary(tmp_path, method, rounds):
+    experiment.run_experiment(tiny_cfg(method=method, rounds=rounds), out_dir=str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["metrics.csv", "summary.json"]
+
+
+def test_stacked_matrices_round_trip_the_records(tmp_path):
+    cfg = tiny_cfg(rounds=4, num_clients=3)
+    cfg.fed.tau = "adaptive"
+    res = experiment.run_experiment(cfg, out_dir=str(tmp_path))
+    R, K = cfg.rounds, cfg.num_clients
+    for name, field in (("similarity_round_all.csv", "similarity"),
+                        ("alpha_round_all.csv", "alpha")):
+        data = (tmp_path / name).read_bytes()
+        stacked = np.loadtxt(tmp_path / name, delimiter=",", ndmin=2).reshape(R, K, K)
+        lines = data.splitlines(keepends=True)
+        assert len(lines) == R * K
+        for t, rec in enumerate(res.records):
+            mat = getattr(rec, field)
+            assert stacked[t].tobytes() == mat.tobytes(), (name, t + 1)
+            one = tmp_path / f"one-{field}-{t + 1}.csv"
+            experiment._write_matrix(str(one), [mat])
+            assert b"".join(lines[t * K:(t + 1) * K]) == one.read_bytes(), (name, t + 1)
+
+
+@pytest.mark.parametrize("embeddings, per_call", [("hidden", 0), ("logits", 1)])
+def test_model_reconstruction_runs_the_logits_layer_only_for_logits(monkeypatch,
+                                                                    embeddings, per_call):
+    inside, counts = [False], {"recon": 0, "forward": 0}
+    real_recon, real_forward = ies.model_reconstruction, gcn.forward
+
+    def spy_recon(*args, **kwargs):
+        inside[0] = True
+        counts["recon"] += 1
+        try:
+            return real_recon(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def spy_forward(*args, **kwargs):
+        counts["forward"] += inside[0]
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(ies, "model_reconstruction", spy_recon)
+    monkeypatch.setattr(gcn, "forward", spy_forward)
+    cfg = tiny_cfg(rounds=2)
+    cfg.ies.embeddings = embeddings
+    experiment.run_experiment(cfg)
+    assert counts["recon"] > 0
+    assert counts["forward"] == per_call * counts["recon"]
 
 
 @pytest.fixture(scope="module")

@@ -363,6 +363,26 @@ class TestForward:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+class TestHidden:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("supplied_ax", [False, True])
+    def test_equals_forward_bytes(self, seed, supplied_ax):
+        params, adj, X, _, _, _ = random_instance(seed, n=40, d_x=16, hidden=32)
+        AX = adj @ X if supplied_ax else None
+        emb = gcn.forward(params, adj, X, AX)
+        H1, got_ax = gcn.hidden(params, adj, X, AX)
+        assert H1.tobytes() == emb.H1.tobytes()
+        assert got_ax.tobytes() == emb.AX.tobytes()
+        if supplied_ax:
+            assert got_ax is AX
+
+    def test_shape_mismatch(self):
+        params = gcn.init_params(3, 4, 2, seed=0)
+        adj = sp.eye(2, format="csr")
+        with pytest.raises(ValueError, match="feature dimension"):
+            gcn.hidden(params, adj, np.zeros((2, 5)))
+
+
 class TestLossAndGrads:
     def test_proximal_zero_at_anchor(self):
         params, adj, X, y, train, _ = random_instance(1)

@@ -67,7 +67,7 @@ def reference_reconstruct(embeddings, edges):
 @pytest.mark.parametrize("hidden", [2, 128])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_reconstruct_matches_reference_bytes(num_edges, hidden, order):
-    for kind in ("relu", "signed", "parallel", "nan"):
+    for kind in ("relu", "signed", "parallel", "nan", "zeros"):
         rng = np.random.default_rng(num_edges + hidden)
         n = 500
         H = rng.standard_normal((n, hidden))
@@ -80,11 +80,23 @@ def test_reconstruct_matches_reference_bytes(num_edges, hidden, order):
             H[rng.random(n) < 0.05] = -0.0
         elif kind == "nan":  # a NaN norm fails `denom > 0`, so its edges read 0
             H[rng.random(n) < 0.05] = np.nan
+        elif kind == "zeros":  # every row zero: every edge reads 0
+            H[:] = 0.0
         H = np.asarray(H, order=order)
         edges = rng.integers(0, n, size=(num_edges, 2))
         got = ies.reconstruct(H, edges)
         want = reference_reconstruct(H, edges)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), kind
+
+
+@pytest.mark.parametrize("bad", [4, 1000])
+@pytest.mark.parametrize("num_edges", [1, 300])
+def test_reconstruct_rejects_an_out_of_range_endpoint(bad, num_edges):
+    H = np.ones((4, 3))
+    edges = np.zeros((num_edges, 2), dtype=np.int64)
+    edges[-1] = (1, bad)  # in the last block of 256
+    with pytest.raises(IndexError):
+        ies.reconstruct(H, edges)
 
 
 @pytest.mark.parametrize("use_logits", [False, True])
