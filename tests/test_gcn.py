@@ -376,12 +376,6 @@ class TestHidden:
         if supplied_ax:
             assert got_ax is AX
 
-    def test_shape_mismatch(self):
-        params = gcn.init_params(3, 4, 2, seed=0)
-        adj = sp.eye(2, format="csr")
-        with pytest.raises(ValueError, match="feature dimension"):
-            gcn.hidden(params, adj, np.zeros((2, 5)))
-
 
 class TestLossAndGrads:
     def test_proximal_zero_at_anchor(self):
