@@ -62,11 +62,11 @@ def _dump_rounds(run_dir: str, summary: dict, rounds: int) -> tuple:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    _require(path)
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise AnalysisError(f"{path}: {exc}") from exc
+    """The rows of a headerless CSV of floats, one per non-blank line. Through
+    `graphs._read_csv`, a missing file, a ragged row or an unparsable field
+    names the file, and a row also its line: `path:<line>`."""
+    return np.array([_convert(path, lineno, float, fields)
+                     for lineno, fields in _read_csv(path, None)])
 
 
 def weight_proportion_csv(run_dir: str) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -10,7 +11,6 @@ import numpy as np
 
 from . import __version__, gcn, graphs, ies, server
 from .config import METHODS, ExperimentConfig, Method, dump_rounds_of, to_dict
-from .graphs import _fmt
 
 _MASK64 = (1 << 64) - 1
 
@@ -244,37 +244,11 @@ def warmup(states: list, cfg: ExperimentConfig, init_params: gcn.GcnParams) -> g
 
 
 def _write_matrix(path: str, mats: list):
-    """The matrices `mats` stacked in order: a line per row, fields `_fmt`-formatted.
-
-    One `write` per matrix, so the text of one matrix is held, not the file's.
-    """
-    # repr of a Python float is `_fmt`'s shortest round-trip decimal
+    """The matrices `mats` stacked in order, a line per row: one `graphs.write_rows`
+    per matrix, so no stacked copy is made."""
     with open(path, "w", newline="\n") as f:
         for mat in mats:
-            f.write("".join(",".join(map(repr, row)) + "\n" for row in mat.tolist()))
-
-
-def _edge_rows(edges: np.ndarray) -> list:
-    """The `u,v,` prefix of each edge-weight row, reusable for every file on these edges."""
-    return [f"{u},{v}," for u, v in edges.tolist()]
-
-
-_ROW_BLOCK = 256  # lines formatted per write: the text of one block is held, not a file's
-
-
-def _write_edge_weights(path: str, rows: list, header: str, weights: np.ndarray):
-    """`header`, then one line per edge: `rows[i]` and row i of the (E, C) `weights`."""
-    C = weights.shape[1]
-    line = "%s" + ",".join(["%r"] * C) + "\n"  # %r of a Python float is `_fmt`'s repr
-    with open(path, "w", newline="\n") as f:
-        f.write(header + "\n")
-        for i in range(0, len(rows), _ROW_BLOCK):
-            block = weights[i:i + _ROW_BLOCK]
-            fields = [None] * (block.size + len(block))  # per line: its prefix, C weights
-            fields[::C + 1] = rows[i:i + _ROW_BLOCK]
-            for c in range(C):
-                fields[c + 1::C + 1] = block[:, c].tolist()
-            f.write((line * len(block)) % tuple(fields))
+            graphs.write_rows(f, list(mat.T))
 
 
 def reference_recon_header(num_clients: int) -> str:
@@ -286,15 +260,17 @@ def _dump_reference_recon(out_dir: str, ref: graphs.Graph, recons: list, t: int)
     """One file for the round: the reference edges once, then in column
     `client_k` the reconstruction `recons[k]` that round t's server step made
     of them with client k's model and the reference mask entering that step."""
-    _write_edge_weights(os.path.join(out_dir, f"refrecon_round_{t}.csv"),
-                        _edge_rows(ref.edges), reference_recon_header(len(recons)),
-                        np.column_stack(recons))
+    with open(os.path.join(out_dir, f"refrecon_round_{t}.csv"), "w", newline="\n") as f:
+        f.write(reference_recon_header(len(recons)) + "\n")
+        graphs.write_rows(f, [ref.edges[:, 0], ref.edges[:, 1], *recons])
 
 
 def _dump_masks(out_dir: str, states: list, t: int):
     for k, st in enumerate(states):
-        _write_edge_weights(os.path.join(out_dir, f"mask_round_{t}_client_{k}.csv"),
-                            _edge_rows(st.graph.edges), "u,v,weight", st.mask[:, None])
+        path = os.path.join(out_dir, f"mask_round_{t}_client_{k}.csv")
+        with open(path, "w", newline="\n") as f:
+            f.write("u,v,weight\n")
+            graphs.write_rows(f, [st.graph.edges[:, 0], st.graph.edges[:, 1], st.mask])
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
@@ -382,7 +358,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         "config": to_dict(cfg),
         "seed": cfg.seed,
         "clusters": clusters,
-        "final": {"per_client": final},
+        # RFC 8259 has no NaN: a split with no node gives null, not metrics.csv's nan
+        "final": {"per_client": [
+            {key: None if isinstance(v, float) and not math.isfinite(v) else v
+             for key, v in m.items()} for m in final]},
     }
     for key in ("train_acc", "val_acc", "test_acc"):
         mean, std = _stats(key)
@@ -392,13 +371,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     if out_dir is not None:
         with open(os.path.join(out_dir, "metrics.csv"), "w", newline="\n") as f:
             f.write("round,client,train_loss,train_acc,val_acc,test_acc,tau\n")
-            for rec in records:
-                for m in rec.client_metrics:
-                    f.write(f"{rec.round},{m['client']},{_fmt(m['train_loss'])},"
-                            f"{_fmt(m['train_acc'])},{_fmt(m['val_acc'])},"
-                            f"{_fmt(m['test_acc'])},{_fmt(m['tau'])}\n")
+            ms = [m for rec in records for m in rec.client_metrics]
+            columns = [[rec.round for rec in records for _ in rec.client_metrics]]
+            columns += [["" if m[key] is None else m[key] for m in ms] for key in
+                        ("client", "train_loss", "train_acc", "val_acc", "test_acc", "tau")]
+            graphs.write_rows(f, columns)
         with open(os.path.join(out_dir, "summary.json"), "w") as f:
-            json.dump(summary, f, indent=2)
+            json.dump(summary, f, indent=2, allow_nan=False)
             f.write("\n")
         if use_similarity and records:  # round t's K rows follow round t-1's
             _write_matrix(os.path.join(out_dir, "similarity_round_all.csv"),

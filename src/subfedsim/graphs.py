@@ -587,45 +587,61 @@ def make_splits(g: Graph, ratios: tuple, seed: int) -> NodeSplit:
     return NodeSplit(tags=tags)
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal of a float; None gives an empty field."""
-    return "" if x is None else repr(float(x))
+_ROW_BLOCK = 256  # lines formatted per write: the text of one block is held, not a file's
+
+
+def write_rows(f, columns: list):
+    """Write one CSV line per row of the equal-length `columns` to the text file `f`.
+
+    A column is a 1-D array or a list. Each field is `"%s"` of its value, taken
+    from an array by a per-block `.tolist()`: a float prints as its shortest
+    round-trip decimal (`repr`), an int as an int and a string as it is. Each
+    `f.write` takes `_ROW_BLOCK` lines, so one block's text is held, never a file's.
+    """
+    n = len(columns[0]) if columns else 0
+    C = len(columns)
+    line = ",".join(["%s"] * C) + "\n"
+    for i in range(0, n, _ROW_BLOCK):
+        rows = min(_ROW_BLOCK, n - i)
+        fields = [None] * (rows * C)  # row-major: field c of each line at c, c + C, ...
+        for c, col in enumerate(columns):
+            part = col[i:i + _ROW_BLOCK]
+            fields[c::C] = part.tolist() if isinstance(part, np.ndarray) else part
+        f.write((line * rows) % tuple(fields))
 
 
 def save_graph_dir(g: Graph, path: str):
-    """Write nodes.csv and edges.csv with shortest round-trip decimals."""
+    """Write nodes.csv and edges.csv through `write_rows`."""
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "nodes.csv"), "w", newline="\n") as f:
-        header = "id,label," + ",".join(f"f{i}" for i in range(g.d_x))
-        f.write(header + "\n")
-        for i in range(g.num_nodes):
-            feats = ",".join(_fmt(x) for x in g.features[i])
-            f.write(f"{i},{g.labels[i]},{feats}\n")
+        f.write("id,label," + ",".join(f"f{i}" for i in range(g.d_x)) + "\n")
+        write_rows(f, [np.arange(g.num_nodes), g.labels, *g.features.T])
     with open(os.path.join(path, "edges.csv"), "w", newline="\n") as f:
         f.write("src,dst\n")
-        for u, v in g.edges:
-            f.write(f"{u},{v}\n")
+        write_rows(f, [g.edges[:, 0], g.edges[:, 1]])
 
 
-def _read_csv(path: str, header: str, exact: bool = True):
+def _read_csv(path: str, header: str | None, exact: bool = True):
     """Yield `(line number, fields)` for each non-blank row of a CSV file.
 
     The file is UTF-8 with or without a BOM, with LF or CRLF line ends. Its
     header must equal `header`, or with `exact=False` start with its columns,
-    and every row must have as many fields as the header.
+    and every row must have as many fields as the header. With `header=None`
+    the file has no header line, and its first row sets the width.
     """
     if not os.path.isfile(path):
         raise GraphParseError(f"{path}: missing file")
-    want = header.split(",")
+    want = header and header.split(",")
     with open(path, encoding="utf-8-sig", newline="") as f:
-        cols = f.readline().rstrip("\r\n").split(",")
-        if (cols if exact else cols[:len(want)]) != want:
+        cols = want and f.readline().rstrip("\r\n").split(",")
+        if want and (cols if exact else cols[:len(want)]) != want:
             raise GraphParseError(f"{path}:1: expected header '{header}{'' if exact else ',..'}'")
-        for lineno, line in enumerate(f, start=2):
+        for lineno, line in enumerate(f, start=2 if want else 1):
             line = line.rstrip("\r\n")
             if not line:
                 continue
             fields = line.split(",")
+            cols = cols or fields
             if len(fields) != len(cols):
                 raise GraphParseError(f"{path}:{lineno}: expected {len(cols)} fields, "
                                       f"got {len(fields)}")

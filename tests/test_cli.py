@@ -119,6 +119,24 @@ class TestRun:
         assert config.to_dict(echoed) == data["config"]
         assert data["manifest"]["config_path"] == cfg
 
+    def test_summary_is_strict_json_when_a_split_is_empty(self, tmp_path):
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="assigning train-first"):
+            assert run_cli("run", "--set", "num_clients=200", "--set", "rounds=1",
+                           "--set", "method=FedAvg", "--set", "split_ratios=[1,0.2,4]",
+                           "--out", str(out)) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        data = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        per_client = data["final"]["per_client"]
+        assert len(per_client) == 200
+        assert all(m["val_acc"] is None for m in per_client)
+        # metrics.csv keeps the NaN of an empty split
+        rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()]
+        assert rows[0][4] == "val_acc" and {row[4] for row in rows[1:]} == {"nan"}
+
     def test_set_override_switches_method(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "fedavg"
@@ -562,8 +580,17 @@ class TestAnalyze:
         shutil.copytree(run_dir, bad)
         (bad / "similarity_round_all.csv").write_text("1.0,0.5\n0.5,1.0\n1.0,0.5\n0.5\n")
         assert run_cli("analyze", "weight-proportion", str(bad)) == 1
+        assert capsys.readouterr().err == (f"error: {bad / 'similarity_round_all.csv'}:4: "
+                                           f"expected 2 fields, got 1\n")
+
+    def test_weight_proportion_names_unparsable_field(self, run_dir, tmp_path, capsys):
+        bad = tmp_path / "unparsable"
+        shutil.copytree(run_dir, bad)
+        (bad / "similarity_round_all.csv").write_text("1.0,0.5\n0.5,1.0\n1.0,x\n0.5,1.0\n")
+        assert run_cli("analyze", "weight-proportion", str(bad)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "similarity_round_all.csv: " in err
+        assert err.startswith(f"error: {bad / 'similarity_round_all.csv'}:3: ")
+        assert "'x'" in err
 
     # the run has 2 rounds of 2 clients: the stacked file holds two 2-row blocks
     @pytest.mark.parametrize("matrix, clusters, name, message", [
@@ -577,7 +604,9 @@ class TestAnalyze:
          "6 rows, but config.rounds * config.num_clients is 4"),
         ("1,0.5\n0.5,1\n", None, "similarity_round_all.csv",
          "2 rows, but config.rounds * config.num_clients is 4"),
-    ], ids=["4x3", "2x2-for-4", "all-zero", "extra-round", "missing-round"])
+        ("", None, "similarity_round_all.csv",
+         "0 rows, but config.rounds * config.num_clients is 4"),
+    ], ids=["4x3", "2x2-for-4", "all-zero", "extra-round", "missing-round", "empty"])
     def test_weight_proportion_names_malformed_matrix(self, run_dir, tmp_path, capsys,
                                                       matrix, clusters, name, message):
         bad = tmp_path / "malformed"

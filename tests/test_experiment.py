@@ -666,11 +666,16 @@ class TestGeneratorTable:
             config.from_dict({"reference": {"kind": "dir"}})
 
 
+def fmt(x) -> str:
+    """The artifacts' float format: shortest round-trip decimal; None gives an empty field."""
+    return "" if x is None else repr(float(x))
+
+
 def reference_write_edge_weights(path, edges, header, weights):
     with open(path, "w", newline="\n") as f:
         f.write(header + "\n")
         for (u, v), row in zip(edges, weights):
-            f.write(f"{u},{v}," + ",".join(graphs._fmt(w) for w in row) + "\n")
+            f.write(f"{u},{v}," + ",".join(fmt(w) for w in row) + "\n")
 
 
 def edge_weight_header(columns):
@@ -678,35 +683,55 @@ def edge_weight_header(columns):
                      else "weight")
 
 
-@pytest.mark.parametrize("num_edges", [0, 1, 500])
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 5e-324, 1e-05, 1e-300, 1e16,
+                  1 / 3]
+ROW_COUNTS = [0, 1, 255, 256, 257, 500, 600]  # around one, two and three blocks
+
+
+@pytest.mark.parametrize("num_edges", ROW_COUNTS)
 def test_edge_weight_writer_matches_fmt_reference(tmp_path, num_edges):
     rng = np.random.default_rng(num_edges)
     edges = np.sort(rng.integers(0, 10**6, size=(num_edges, 2)), axis=1)
-    special = [0.0, 1.0, 1e-300, 5e-324, -0.0, 1 / 3, 1e16]
     for columns in (1, 3):  # a mask file, and a reference reconstruction of 3 clients
         weights = rng.random((num_edges, columns))
-        weights.ravel()[:len(special)] = special[:weights.size]
+        weights.ravel()[:len(SPECIAL_VALUES)] = SPECIAL_VALUES[:weights.size]
         header = edge_weight_header(columns)
-        experiment._write_edge_weights(str(tmp_path / "new.csv"),
-                                       experiment._edge_rows(edges), header, weights)
+        with open(tmp_path / "new.csv", "w", newline="\n") as f:
+            f.write(header + "\n")
+            graphs.write_rows(f, [edges[:, 0], edges[:, 1], *weights.T])
         reference_write_edge_weights(str(tmp_path / "ref.csv"), edges, header, weights)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@pytest.mark.parametrize("num_edges", [0, 1, 500])
-def test_edge_rows_serve_several_files(tmp_path, num_edges):
-    rng = np.random.default_rng(num_edges + 1)
-    edges = np.sort(rng.integers(0, 10**6, size=(num_edges, 2)), axis=1)
-    rows = experiment._edge_rows(edges)
-    for name, columns in (("a", 1), ("b", 1), ("c", 3)):
-        # a one-shot iterator would leave every file after the first empty
-        weights = rng.random((num_edges, columns))
-        header = edge_weight_header(columns)
-        experiment._write_edge_weights(str(tmp_path / f"{name}.csv"), rows, header, weights)
-        reference_write_edge_weights(str(tmp_path / f"{name}_ref.csv"), edges, header,
-                                     weights)
-        assert ((tmp_path / f"{name}.csv").read_bytes()
-                == (tmp_path / f"{name}_ref.csv").read_bytes())
+class CountingFile:
+    """A text file stand-in that keeps each `write` call's text."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_writer_writes_one_block_of_lines_per_call(rows):
+    f = CountingFile()
+    f.write("u,v,weight\n")
+    graphs.write_rows(f, [np.arange(rows), np.arange(rows) + 1, np.full(rows, 0.5)])
+    blocks = -(-rows // graphs._ROW_BLOCK)
+    assert len(f.writes) == 1 + blocks
+    lines = [w.count("\n") for w in f.writes[1:]]
+    assert lines == [min(graphs._ROW_BLOCK, rows - i * graphs._ROW_BLOCK)
+                     for i in range(blocks)]
+    assert "".join(f.writes[1:]) == "".join(f"{i},{i + 1},0.5\n" for i in range(rows))
+
+
+def test_writer_prints_ints_strings_and_list_columns_as_given():
+    f = CountingFile()
+    graphs.write_rows(f, [[1, 2], ["", "x"], np.array([3, -4]), [0.1, np.float64(1e16)]])
+    assert f.writes == ["1,,3,0.1\n2,x,-4,1e+16\n"]
+    graphs.write_rows(f, [])
+    assert len(f.writes) == 1
 
 
 def spy_reference(monkeypatch) -> list:
@@ -734,17 +759,9 @@ def test_reference_rows_are_built_once_per_dump(tmp_path, monkeypatch):
         returned.append(out[2])
         return out
 
-    calls = []
-    edge_rows = experiment._edge_rows
-
-    def counted(edges):
-        calls.append(edges)
-        return edge_rows(edges)
-
     monkeypatch.setattr(server, "build_indicator", spy)
-    monkeypatch.setattr(experiment, "_edge_rows", counted)
     for embeddings in ("hidden", "logits"):
-        for seen in (refs, returned, calls):
+        for seen in (refs, returned):
             seen.clear()
         cfg = tiny_cfg(num_clients=3, rounds=3, dump_rounds=[1, 3])
         cfg.ies.embeddings = embeddings
@@ -753,7 +770,6 @@ def test_reference_rows_are_built_once_per_dump(tmp_path, monkeypatch):
         (ref,) = refs
         K = cfg.num_clients
         assert len(returned) == cfg.rounds * K
-        assert sum(edges is ref.edges for edges in calls) == 2  # once per dump round
         assert sorted(p.name for p in out.glob("refrecon_*")) == \
             ["refrecon_round_1.csv", "refrecon_round_3.csv"]
         for t in (1, 3):
@@ -808,18 +824,24 @@ def test_dump_round_reconstructs_the_reference_once_per_client(tmp_path, monkeyp
 def reference_write_matrix(path, mat):
     with open(path, "w", newline="\n") as f:
         for row in mat:
-            f.write(",".join(map(graphs._fmt, row)) + "\n")
+            f.write(",".join(map(fmt, row)) + "\n")
 
 
-@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (3, 0), (16, 16)])
+# a matrix with rows but no column has no columns to write, so no line: runs
+# write K x K matrices with K >= 1
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (0, 3), (16, 16)])
 def test_matrix_writer_matches_fmt_reference(tmp_path, shape):
     rng = np.random.default_rng(shape[0])
     mat = rng.random(shape)
-    special = [0.0, 1.0, 1e-300, 5e-324, -0.0, 1 / 3, 1e16]
-    mat.ravel()[:len(special)] = special[:mat.size]
-    experiment._write_matrix(str(tmp_path / "new.csv"), [mat])
+    mat.ravel()[:len(SPECIAL_VALUES)] = SPECIAL_VALUES[:mat.size]
+    with open(tmp_path / "new.csv", "w", newline="\n") as f:
+        graphs.write_rows(f, list(mat.T))
     reference_write_matrix(str(tmp_path / "ref.csv"), mat)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    experiment._write_matrix(str(tmp_path / "stacked.csv"), [mat, mat[::-1]])
+    reference_write_matrix(str(tmp_path / "ref2.csv"), mat[::-1])
+    assert ((tmp_path / "stacked.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes() + (tmp_path / "ref2.csv").read_bytes())
 
 
 def expected_files(K: int, dump_rounds, mask: bool, similarity: bool) -> list:
@@ -860,6 +882,33 @@ def test_ten_clients_and_two_dump_rounds_write_26_files(tmp_path):
 def test_fedavg_and_zero_round_runs_write_only_metrics_and_summary(tmp_path, method, rounds):
     experiment.run_experiment(tiny_cfg(method=method, rounds=rounds), out_dir=str(tmp_path))
     assert sorted(os.listdir(tmp_path)) == ["metrics.csv", "summary.json"]
+
+
+def reference_metrics_csv(records) -> str:
+    """metrics.csv as the per-row f-string writer formatted it."""
+    lines = ["round,client,train_loss,train_acc,val_acc,test_acc,tau\n"]
+    for rec in records:
+        for m in rec.client_metrics:
+            lines.append(f"{rec.round},{m['client']},{fmt(m['train_loss'])},"
+                         f"{fmt(m['train_acc'])},{fmt(m['val_acc'])},"
+                         f"{fmt(m['test_acc'])},{fmt(m['tau'])}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("method, tau", [("FedAvg", None), ("CUFL", 5.0),
+                                         ("CUFL", "adaptive")])
+def test_metrics_csv_matches_fmt_reference(tmp_path, method, tau):
+    # a val share of 0.02 / 5.02 leaves a 30-node client no val node: a NaN accuracy
+    cfg = tiny_cfg(method=method, split_ratios=(1.0, 0.02, 4.0))
+    if tau is not None:
+        cfg.fed.tau = tau
+    res = experiment.run_experiment(cfg, out_dir=str(tmp_path))
+    text = (tmp_path / "metrics.csv").read_text()
+    assert text == reference_metrics_csv(res.records)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert len(rows) == cfg.rounds * cfg.num_clients
+    assert any(row[4] == "nan" for row in rows)
+    assert all((row[6] == "") == (method == "FedAvg") for row in rows)
 
 
 def test_stacked_matrices_round_trip_the_records(tmp_path):

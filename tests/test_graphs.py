@@ -287,6 +287,45 @@ class TestSplits:
             split.mask("holdout")
 
 
+def reference_save_graph_dir(g: graphs.Graph, path):
+    """The per-node writer that `save_graph_dir` replaced, kept as the oracle of its bytes."""
+    path.mkdir(parents=True, exist_ok=True)
+    with open(path / "nodes.csv", "w", newline="\n") as f:
+        f.write("id,label," + ",".join(f"f{i}" for i in range(g.d_x)) + "\n")
+        for i in range(g.num_nodes):
+            feats = ",".join(repr(float(x)) for x in g.features[i])
+            f.write(f"{i},{g.labels[i]},{feats}\n")
+    with open(path / "edges.csv", "w", newline="\n") as f:
+        f.write("src,dst\n")
+        for u, v in g.edges:
+            f.write(f"{u},{v}\n")
+
+
+@pytest.mark.parametrize("g", [
+    graphs.generate_sbm(3, 200, 0.05, 0.002, 5, 3, seed=1),  # 600 nodes: three blocks
+    graphs.generate_er(300, 0.02, 1, 2, seed=2),
+    graphs.generate_er(5, 0.0, 2, 2, seed=0),  # no edge
+    graphs.generate_ba(257, 3, 4, 2, seed=3),
+], ids=["sbm", "er", "er-edgeless", "ba"])
+def test_save_graph_dir_matches_per_node_writer(tmp_path, g):
+    graphs.save_graph_dir(g, str(tmp_path / "new"))
+    reference_save_graph_dir(g, tmp_path / "ref")
+    for name in ("nodes.csv", "edges.csv"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+def test_headerless_read_takes_its_width_from_the_first_row(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("\n1,2\n\n3,4\n5\n")
+    rows = graphs._read_csv(str(path), None)
+    assert next(rows) == (2, ["1", "2"])
+    assert next(rows) == (4, ["3", "4"])
+    with pytest.raises(graphs.GraphParseError, match=r"m\.csv:5: expected 2 fields, got 1$"):
+        next(rows)
+    path.write_text("")
+    assert list(graphs._read_csv(str(path), None)) == []
+
+
 class TestGraphDir:
     def test_round_trip_identity(self, tmp_path):
         g = graphs.Graph(3, np.array([[0.1, -2.5], [1 / 3, 7.0], [0.0, 1e-17]]),
